@@ -1,18 +1,20 @@
 // BM_BatchedQueries: multi-query batch execution with shared NN sweeps.
 // Runs a serving-style batch of same-stream queries twice — serially via
-// Execute, then via ExecuteBatch — and reports the shared-sweep savings:
+// Execute, then as one admission window of a serve::AdmissionQueue — and
+// reports the shared-sweep savings:
 // per-query standalone vs batch simulated seconds, how many specialized-NN
 // frame inferences and trainings were served from another query's sweep,
 // and the wall-clock of both paths. The per-query outputs (answers,
 // frames, rows, simulated costs) are bit-identical between the two paths
 // (asserted continuously by tests/batch_determinism_test.cc); only the
 // batch-level accounting shows the dedup.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "core/engine.h"
-#include "core/query_session.h"
+#include "serve/admission_queue.h"
 
 int main() {
   using namespace blazeit;
@@ -70,17 +72,36 @@ int main() {
   const double serial_wall =
       std::chrono::duration<double>(Clock::now() - serial_start).count();
 
-  // Batched: shared-plan groups, one NN sweep per group.
+  // Batched: one window, shared-plan groups, one NN sweep per group.
+  serve::ServeOptions serve_options;
+  serve_options.window_ticks = 100;  // held until Drain
+  serve_options.per_client_quota = 1 << 20;
+  serve::AdmissionQueue queue(&engine, serve_options);
   auto batch_start = Clock::now();
-  auto batch = engine.ExecuteBatch(queries);
+  for (const std::string& q : queries) {
+    auto ticket = queue.Submit("bench", q);
+    if (!ticket.ok()) {
+      std::fprintf(stderr, "Submit failed: %s\n",
+                   ticket.status().ToString().c_str());
+      return 1;
+    }
+  }
+  queue.Drain();
+  std::vector<serve::ServeResponse> responses = queue.TakeCompleted();
   const double batch_wall =
       std::chrono::duration<double>(Clock::now() - batch_start).count();
-  if (!batch.ok()) {
-    std::fprintf(stderr, "ExecuteBatch failed: %s\n",
-                 batch.status().ToString().c_str());
-    return 1;
+  std::sort(responses.begin(), responses.end(),
+            [](const serve::ServeResponse& a, const serve::ServeResponse& b) {
+              return a.ticket < b.ticket;
+            });
+  for (const serve::ServeResponse& resp : responses) {
+    if (!resp.output.ok()) {
+      std::fprintf(stderr, "batched query failed: %s\n",
+                   resp.output.status().ToString().c_str());
+      return 1;
+    }
   }
-  const BatchOutput& out = batch.value();
+  const serve::ServerStats batch = queue.stats();
 
   std::printf("%-5s %-6s %12s %12s %12s %8s\n", "query", "group",
               "standalone", "batched", "sharedNNfr", "sharedNN");
@@ -88,8 +109,8 @@ int main() {
   int64_t nn_frames_charged = 0, trainings_charged = 0;
   double nn_bill_standalone = 0.0, nn_bill_batched = 0.0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const BatchQueryStats& qs = out.stats[i];
-    const CostMeter& cost = out.results[i].value().cost;
+    const serve::BatchQueryStats& qs = responses[i].stats;
+    const CostMeter& cost = responses[i].output.value().cost;
     std::printf("%-5zu %-6lld %11.1fs %11.1fs %12lld %8s\n", i,
                 static_cast<long long>(qs.group), qs.standalone_seconds,
                 qs.batch_seconds,
@@ -97,7 +118,7 @@ int main() {
                 qs.shared_models > 0 ? "reused" : "trained");
     shared_frames += qs.shared_nn_frames;
     shared_models += qs.shared_models;
-    DumpReport("batch_q" + std::to_string(i), out.results[i].value());
+    DumpReport("batch_q" + std::to_string(i), responses[i].output.value());
     nn_frames_charged += cost.specialized_nn_calls();
     if (cost.training_frames() > 0) ++trainings_charged;
     const double nn_bill =
@@ -116,7 +137,7 @@ int main() {
       "(%s, %.1f%% deduplicated)\n"
       "simulated total: %.1fs standalone -> %.1fs batched\n"
       "wall-clock: serial %.1fs -> batched %.1fs (%s)\n",
-      queries.size(), static_cast<long long>(out.groups),
+      queries.size(), static_cast<long long>(batch.groups),
       static_cast<long long>(nn_frames_charged),
       static_cast<long long>(nn_frames_charged - shared_frames),
       static_cast<long long>(shared_frames),
@@ -128,7 +149,7 @@ int main() {
           ? 100.0 * (nn_bill_standalone - nn_bill_batched) /
                 nn_bill_standalone
           : 0.0,
-      serial_total, out.batch_seconds, serial_wall, batch_wall,
+      serial_total, batch.batch_seconds, serial_wall, batch_wall,
       Speedup(serial_wall, batch_wall).c_str());
   std::printf(
       "(simulated standalone totals are identical serial vs batched by the "

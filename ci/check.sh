@@ -28,6 +28,14 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 echo "==> ctest: fast lane (-L fast)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fast -j "${JOBS}"
 
+# The release preset (-O3) is what benchmarks build; some GCC diagnostics
+# (e.g. -Wrestrict through inlined std::string concatenation) fire only
+# at that optimization level, so build the library under it with the
+# same warnings-as-errors policy. Gating.
+echo "==> release preset: library build (-O3)"
+cmake --preset release > /dev/null
+cmake --build --preset release -j "${JOBS}" --target blazeit > /dev/null
+
 STORE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-store.XXXXXX")"
 trap 'rm -rf "${STORE_DIR}"' EXIT
 
@@ -197,11 +205,13 @@ ctest --test-dir "${ASAN_BUILD}" --output-on-failure -L fast -j "${JOBS}"
 echo "==> asan+ubsan lane clean"
 
 # Gating ThreadSanitizer lane: rebuild every fast suite (exec runtime,
-# storage locking, serving, obs, net — plus the batch layer's
-# determinism suite, whose shared-plan groups run concurrently against
-# one SharedSweepCache) with -fsanitize=thread and run them. Races found
-# here fail the build.
-echo "==> tsan lane (gating): fast suites + batch_determinism_test"
+# storage locking, serving, obs, net) with -fsanitize=thread and run
+# them, plus the two slow suites that drive the admission queue's group
+# loop — the only concurrent batching code: batch_determinism_test
+# (shared-plan groups running concurrently against one SharedSweepCache)
+# and serve_determinism_test (eight client threads calling Submit
+# concurrently). Races found here fail the build.
+echo "==> tsan lane (gating): fast suites + batch/serve determinism suites"
 TSAN_BUILD="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_BUILD}" -S . -DBLAZEIT_TSAN=ON \
   -DBLAZEIT_BUILD_BENCHES=OFF -DBLAZEIT_BUILD_EXAMPLES=OFF \
@@ -209,7 +219,7 @@ cmake -B "${TSAN_BUILD}" -S . -DBLAZEIT_TSAN=ON \
 cmake --build "${TSAN_BUILD}" -j "${JOBS}" > /dev/null
 ctest --test-dir "${TSAN_BUILD}" --output-on-failure -L fast -j "${JOBS}"
 ctest --test-dir "${TSAN_BUILD}" --output-on-failure \
-  -R '^batch_determinism_test$' -j "${JOBS}"
+  -R '^(batch_determinism_test|serve_determinism_test)$' -j "${JOBS}"
 echo "==> tsan lane clean"
 
 # Opportunistic clang lanes. This tree annotates every mutex-bearing

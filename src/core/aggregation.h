@@ -65,8 +65,8 @@ struct AggregateResult {
 class AggregationExecutor {
  public:
   /// `stream` must outlive the executor. `sweep_cache` overrides the
-  /// stream's artifact cache (ExecuteBatch hands the batch's
-  /// SweepCacheView in here so concurrent queries share NN sweeps);
+  /// stream's artifact cache (the admission queue hands each query's
+  /// SweepCacheView in here so a shared-plan group shares NN sweeps);
   /// nullptr keeps the stream's persistent cache. `trace` (nullable)
   /// receives train/sweep/estimate stage spans.
   AggregationExecutor(StreamData* stream, AggregateOptions options = {},

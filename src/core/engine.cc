@@ -1,14 +1,9 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 
-#include "core/scheduler.h"
-#include "core/shared_sweep.h"
-#include "exec/thread_pool.h"
 #include "filters/calibration.h"
 #include "filters/label_filter.h"
 #include "frameql/parser.h"
@@ -28,12 +23,10 @@ namespace {
 
 /// The sketch probe mirroring exactly the per-frame predicate a full scan
 /// evaluates (requirements, class/ROI/area detection filters, or bare
-/// any-detection); shared with count-distinct via its one-requirement
-/// form.
+/// any-detection).
 SketchProbe ProbeForQuery(const StreamData& stream,
                           const AnalyzedQuery& query) {
   SketchProbe probe;
-  probe.score_threshold = stream.config.detection_threshold;
   probe.requirements = query.requirements;
   probe.sel_class = query.sel_class;
   probe.has_roi = query.has_roi;
@@ -44,40 +37,6 @@ SketchProbe ProbeForQuery(const StreamData& stream,
   probe.require_any = query.requirements.empty() && query.sel_class < 0 &&
                       !query.has_roi && query.min_area_px <= 0;
   return probe;
-}
-
-/// Candidate subranges of `window` under the stream's sketch index, or
-/// the whole window when no current index exists (or indexing is off).
-/// `sketch` (nullable) receives the consultation outcome for the query's
-/// ExecutionReport.
-std::vector<SketchIndex::FrameRange> CandidateRangesForScan(
-    const StreamData& stream, const AnalyzedQuery& query, FrameWindow window,
-    bool use_store_index, obs::SketchStats* sketch) {
-  const int64_t window_frames =
-      window.end > window.begin ? window.end - window.begin : 0;
-  if (sketch != nullptr) {
-    sketch->consulted = use_store_index && stream.detection_store != nullptr;
-    sketch->window_frames = window_frames;
-    sketch->candidate_frames = window_frames;
-  }
-  if (use_store_index && stream.detection_store != nullptr) {
-    SketchIndex index = SketchIndex::Load(stream.detection_store,
-                                          stream.test_detections_ns);
-    if (index.valid()) {
-      std::vector<SketchIndex::FrameRange> ranges = index.CandidateRanges(
-          window.begin, window.end, ProbeForQuery(stream, query));
-      if (sketch != nullptr) {
-        sketch->pruned = true;
-        sketch->candidate_frames = 0;
-        for (const auto& range : ranges) {
-          sketch->candidate_frames += range.end - range.begin;
-        }
-      }
-      return ranges;
-    }
-  }
-  if (window_frames == 0) return {};
-  return {{window.begin, window.end}};
 }
 
 }  // namespace
@@ -92,7 +51,9 @@ BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
     for (const std::string& name : catalog_->StreamNames()) {
       if (!first) streams += ",";
       first = false;
-      streams += "\"" + net::JsonEscape(name) + "\"";
+      streams += '"';
+      streams += net::JsonEscape(name);
+      streams += '"';
     }
     streams += "]";
     return StrFormat(
@@ -160,11 +121,9 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
   }
   Result<PreparedQuery> prepared = Prepare(frameql, trace.get());
   Result<QueryOutput> result =
-      prepared.ok()
-          ? ExecutePrepared(prepared.value().stream, prepared.value().query,
-                            /*sweep_cache=*/nullptr, frameql, trace,
-                            prepared.value().correlation_id)
-          : Result<QueryOutput>(prepared.status());
+      prepared.ok() ? ExecutePrepared(prepared.value(),
+                                      /*sweep_cache=*/nullptr, frameql, trace)
+                    : Result<QueryOutput>(prepared.status());
 
   // Flight-record the completed query (observe-only; outputs unchanged).
   obs::FlightRecord record;
@@ -192,9 +151,10 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
 }
 
 Result<QueryOutput> BlazeItEngine::ExecutePrepared(
-    StreamData* stream, const AnalyzedQuery& query,
-    ArtifactCache* sweep_cache, const std::string& frameql,
-    std::shared_ptr<obs::QueryTrace> trace, int64_t correlation_id) {
+    const PreparedQuery& prepared, ArtifactCache* sweep_cache,
+    const std::string& frameql, std::shared_ptr<obs::QueryTrace> trace) {
+  StreamData* stream = prepared.stream;
+  const AnalyzedQuery& query = prepared.query;
   std::shared_ptr<obs::ExecutionReport> report;
   std::optional<obs::CountingCacheView> counting;
   if (options_.collect_reports) {
@@ -215,7 +175,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     obs::TraceSpan span(trace.get(), "optimize");
     plan = ChoosePlan(query, stream);
   }
-  BLAZEIT_LOG(kDebug).Field("cid", correlation_id)
+  BLAZEIT_LOG(kDebug).Field("cid", prepared.correlation_id)
       << "plan: " << PlanKindName(plan.kind) << " — " << plan.rationale;
 
   QueryOutput out;
@@ -267,12 +227,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
                          window));
         out.frames = scrub.frames;
         out.cost = scrub.cost;
-        if (report != nullptr) {
-          report->sketch.consulted = scrub.sketch_consulted;
-          report->sketch.pruned = scrub.sketch_pruned;
-          report->sketch.window_frames = scrub.sketch_window_frames;
-          report->sketch.candidate_frames = scrub.sketch_candidate_frames;
-        }
+        if (report != nullptr) report->sketch = scrub.sketch;
         return out;
       }
       case QueryKind::kSelection: {
@@ -327,33 +282,11 @@ Result<QueryOutput> BlazeItEngine::ExecuteCountDistinct(
   // every open track without minting an id, the rest are no-ops. Skipping
   // the whole gap and issuing one empty Update is therefore bit-identical
   // to walking it, while the skipped frames charge no detector calls.
-  std::vector<SketchIndex::FrameRange> ranges;
-  bool pruned = false;
-  if (options_.use_store_index && stream->detection_store != nullptr) {
-    SketchIndex index = SketchIndex::Load(stream->detection_store,
-                                          stream->test_detections_ns);
-    if (index.valid()) {
-      SketchProbe probe;
-      probe.score_threshold = stream->config.detection_threshold;
-      probe.requirements = {{query.agg_class, 1}};
-      ranges = index.CandidateRanges(window.begin, window.end, probe);
-      pruned = true;
-    }
-  }
-  if (!pruned && window.end > window.begin) {
-    ranges.push_back({window.begin, window.end});
-  }
-  if (report != nullptr) {
-    report->sketch.consulted =
-        options_.use_store_index && stream->detection_store != nullptr;
-    report->sketch.pruned = pruned;
-    report->sketch.window_frames =
-        window.end > window.begin ? window.end - window.begin : 0;
-    report->sketch.candidate_frames = 0;
-    for (const auto& range : ranges) {
-      report->sketch.candidate_frames += range.end - range.begin;
-    }
-  }
+  SketchProbe probe;
+  probe.requirements = {{query.agg_class, 1}};
+  const std::vector<SketchIndex::FrameRange> ranges = SketchCandidates(
+      *stream, options_.use_store_index, window, probe,
+      report != nullptr ? &report->sketch : nullptr);
   obs::TraceSpan span(trace, "track", &out.cost);
   IouTracker tracker;
   int64_t distinct = 0;
@@ -486,8 +419,8 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
   // Sketch-candidate subranges (the whole window when unindexed): a
   // pruned segment provably contains no matching frame, so skipping it
   // removes only detector charges, never results.
-  const std::vector<SketchIndex::FrameRange> ranges = CandidateRangesForScan(
-      *stream, query, window, options_.use_store_index,
+  const std::vector<SketchIndex::FrameRange> ranges = SketchCandidates(
+      *stream, options_.use_store_index, window, ProbeForQuery(*stream, query),
       report != nullptr ? &report->sketch : nullptr);
   obs::TraceSpan span(trace, "scan", &out.cost);
   for (const auto& range : ranges) {
@@ -525,71 +458,6 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
       }
       if (any) out.frames.push_back(t);
     }
-  }
-  return out;
-}
-
-Result<BatchOutput> BlazeItEngine::ExecuteBatch(
-    const std::vector<std::string>& queries) {
-  SharedSweepCache local_sweeps;
-  return ExecuteBatch(queries, &local_sweeps);
-}
-
-Result<BatchOutput> BlazeItEngine::ExecuteBatch(
-    const std::vector<std::string>& queries, SharedSweepCache* sweeps) {
-  if (sweeps == nullptr) {
-    return Status::InvalidArgument("ExecuteBatch needs a sweep cache");
-  }
-  const size_t n = queries.size();
-  BatchOutput out;
-  out.results.assign(
-      n, Result<QueryOutput>(Status::Internal("query not executed")));
-  out.stats.assign(n, BatchQueryStats{});
-
-  // --- front half of every query: parse, bind, analyze ---
-  // One trace per query, created up front so the serial front half's
-  // spans land on it; per-query traces are what keeps batch tracing free
-  // of cross-query bleed (each trace is only ever written by the one
-  // thread executing its query). Group keys are derived from the *batch*
-  // position — failed prepares hold their slot so key uniqueness (and
-  // therefore grouping) is unchanged by where errors land.
-  std::vector<ScheduledQuery> scheduled;
-  std::vector<size_t> slots;  // scheduled index -> batch index
-  scheduled.reserve(n);
-  slots.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::shared_ptr<obs::QueryTrace> trace;
-    if (options_.collect_reports) {
-      trace = std::make_shared<obs::QueryTrace>(queries[i]);
-    }
-    auto p = Prepare(queries[i], trace.get());
-    if (!p.ok()) {
-      out.results[i] = p.status();
-      continue;
-    }
-    ScheduledQuery sq;
-    sq.prepared = std::move(p).value();
-    sq.frameql = queries[i];
-    sq.trace = std::move(trace);
-    sq.group_key = SharedSweepGroupKey(sq.prepared.query, i);
-    scheduled.push_back(std::move(sq));
-    slots.push_back(i);
-  }
-
-  // --- grouping + shared-sweep execution live in QueryScheduler ---
-  QueryScheduler scheduler(this);
-  ScheduleOutcome run = scheduler.Run(scheduled, sweeps,
-                                      exec::ThreadPool::Budget::kAnalytics);
-  out.groups = run.groups;
-  for (size_t j = 0; j < scheduled.size(); ++j) {
-    out.stats[slots[j]] = run.stats[j];
-    out.results[slots[j]] = std::move(run.results[j]);
-  }
-
-  // Serial fixed-order fold for the totals.
-  for (size_t i = 0; i < n; ++i) {
-    out.standalone_seconds += out.stats[i].standalone_seconds;
-    out.batch_seconds += out.stats[i].batch_seconds;
   }
   return out;
 }

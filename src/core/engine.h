@@ -17,9 +17,6 @@
 
 namespace blazeit {
 
-class SharedSweepCache;  // core/shared_sweep.h
-class QueryScheduler;    // core/scheduler.h
-
 /// Per-query execution options forwarded to the executors.
 struct EngineOptions {
   AggregateOptions aggregate;
@@ -63,57 +60,14 @@ struct QueryOutput {
   /// The optimizer's plan description.
   std::string plan_description;
   /// EXPLAIN-style report (null unless EngineOptions::collect_reports).
-  /// Shared so batch execution can fill in group/sharing fields after the
-  /// per-query run completes.
+  /// Shared so the admission queue can fill in group/sharing fields after
+  /// the per-query run completes.
   std::shared_ptr<obs::ExecutionReport> report;
 };
 
-/// Per-query diagnostics of one ExecuteBatch call. The per-query
-/// QueryOutput (including its CostMeter) is bit-identical to a standalone
-/// Execute; these stats record what the batch layer *actually* spent on
-/// top of that accounting — i.e. which charged NN work was served from
-/// another query's sweep instead of being recomputed.
-struct BatchQueryStats {
-  /// Shared-plan group this query executed in (index into the batch's
-  /// first-appearance group order).
-  int64_t group = 0;
-  /// Specialized-NN per-frame inferences served from the batch's shared
-  /// sweeps (charged to this query's meter, computed by another query).
-  int64_t shared_nn_frames = 0;
-  /// Per-frame filter scores served from the batch's shared sweeps.
-  int64_t shared_filter_frames = 0;
-  /// Trained NN weight blobs reused from the batch (0 or 1).
-  int64_t shared_models = 0;
-  /// Simulated seconds the query charges standalone
-  /// (== QueryOutput::cost.TotalSeconds()).
-  double standalone_seconds = 0.0;
-  /// Standalone seconds minus the NN training/inference the shared sweeps
-  /// absorbed: what this query actually added to the batch.
-  double batch_seconds = 0.0;
-};
-
-/// Result of BlazeItEngine::ExecuteBatch.
-struct BatchOutput {
-  /// One entry per input query, in input order. Failures (parse errors,
-  /// unknown streams, executor errors) land here per query, exactly as the
-  /// corresponding serial Execute call would return them.
-  std::vector<Result<QueryOutput>> results;
-  /// Parallel to `results`. For failed queries the entry is default
-  /// (all-zero). Sharing counters can vary with scheduling when *different*
-  /// groups race on overlapping cache keys (e.g. two selection classes
-  /// sharing one content-filter sweep); query outputs never do.
-  std::vector<BatchQueryStats> stats;
-  /// Number of shared-plan groups the optimizer pass formed.
-  int64_t groups = 0;
-  /// Sums of the per-query stats over the successful queries.
-  double standalone_seconds = 0.0;
-  double batch_seconds = 0.0;
-};
-
 /// A parsed + analyzed query bound to its stream, ready to execute — the
-/// front half of Execute, split out so schedulers (QueryScheduler, the
-/// serving layer's AdmissionQueue) can prepare queries at admission time
-/// and execute them later.
+/// front half of Execute, split out so the serving layer's AdmissionQueue
+/// can prepare queries at admission time and execute them later.
 struct PreparedQuery {
   StreamData* stream = nullptr;
   AnalyzedQuery query;
@@ -144,32 +98,24 @@ class BlazeItEngine {
   /// Parses, optimizes, and executes one FrameQL query.
   Result<QueryOutput> Execute(const std::string& frameql);
 
-  /// Multi-query batch execution: parses and analyzes every query up
-  /// front, groups them by shared specialized-NN work (stream × NN config
-  /// × queried classes — see SharedSweepGroupKey), and executes the
-  /// groups concurrently on the exec pool while queries inside a group
-  /// run serially so one NN training run and one per-frame sweep feed the
-  /// whole group through a SharedSweepCache.
-  ///
-  /// Determinism contract: results[i] — answer, frames, rows, and the
-  /// simulated CostMeter — is bit-identical to Execute(queries[i]) at any
-  /// thread count (asserted by tests/batch_determinism_test.cc). The
-  /// batch-level savings show up in BatchOutput's stats, not in the
-  /// per-query meters, which keep standalone accounting.
-  Result<BatchOutput> ExecuteBatch(const std::vector<std::string>& queries);
-
-  /// As above, but sharing sweeps through a caller-owned cache so they
-  /// stay warm across batches — what QuerySession uses. `sweeps` must
-  /// outlive the call and must not be shared across catalogs.
-  Result<BatchOutput> ExecuteBatch(const std::vector<std::string>& queries,
-                                   SharedSweepCache* sweeps);
-
   /// Parses, binds, and analyzes one query without executing it. `trace`
   /// (nullable) records the parse/analyze spans. Thread-safe: the catalog
   /// is read-only after setup, so concurrent Prepare calls (the serving
   /// layer prepares at admission time) never race.
   Result<PreparedQuery> Prepare(const std::string& frameql,
                                 obs::QueryTrace* trace = nullptr);
+
+  /// The back half of Execute: plan choice + dispatch of a prepared
+  /// query. `sweep_cache` overrides the stream's artifact cache for the
+  /// executors (nullptr = standalone execution; the admission queue passes
+  /// a SweepCacheView so a shared-plan group shares NN sweeps); `frameql`
+  /// and `trace` feed the ExecutionReport when options().collect_reports is
+  /// on (trace is null otherwise). Output is bit-identical to Execute for
+  /// any cache, because every cache hit is bit-identical to recomputation.
+  Result<QueryOutput> ExecutePrepared(const PreparedQuery& prepared,
+                                      ArtifactCache* sweep_cache,
+                                      const std::string& frameql,
+                                      std::shared_ptr<obs::QueryTrace> trace);
 
   /// UDFs available to queries (register custom ones here).
   UdfRegistry* mutable_udfs() { return &udfs_; }
@@ -179,23 +125,6 @@ class BlazeItEngine {
   EngineOptions* mutable_options() { return &options_; }
 
  private:
-  /// QueryScheduler executes prepared queries against shared sweeps on
-  /// the engine's behalf; the dispatch below stays private so every other
-  /// caller goes through Execute/ExecuteBatch.
-  friend class QueryScheduler;
-
-  /// Plan choice + dispatch. `sweep_cache` overrides the stream's
-  /// artifact cache for the executors (nullptr = standalone execution);
-  /// `frameql` and `trace` feed the ExecutionReport when
-  /// options_.collect_reports is on (trace is null otherwise);
-  /// `correlation_id` tags the plan-choice log line (cid=N).
-  Result<QueryOutput> ExecutePrepared(StreamData* stream,
-                                      const AnalyzedQuery& query,
-                                      ArtifactCache* sweep_cache,
-                                      const std::string& frameql,
-                                      std::shared_ptr<obs::QueryTrace> trace,
-                                      int64_t correlation_id);
-
   Result<QueryOutput> ExecuteCountDistinct(StreamData* stream,
                                            const AnalyzedQuery& query,
                                            obs::QueryTrace* trace,

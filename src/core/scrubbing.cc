@@ -5,8 +5,6 @@
 #include <numeric>
 
 #include "exec/parallel_for.h"
-#include "obs/trace.h"
-#include "storage/segment_sketch.h"
 #include "util/logging.h"
 
 namespace blazeit {
@@ -18,6 +16,36 @@ bool SatisfiesRequirements(const StreamData& stream, int64_t frame,
     if (counts[static_cast<size_t>(frame)] < req.min_count) return false;
   }
   return true;
+}
+
+std::vector<SketchIndex::FrameRange> SketchCandidates(
+    const StreamData& stream, bool use_store_index, FrameWindow window,
+    SketchProbe probe, obs::SketchStats* stats) {
+  const int64_t window_frames =
+      window.end > window.begin ? window.end - window.begin : 0;
+  const bool consulted = use_store_index && stream.detection_store != nullptr;
+  SketchIndex index;
+  if (consulted) {
+    index = SketchIndex::Load(stream.detection_store,
+                              stream.test_detections_ns);
+  }
+  std::vector<SketchIndex::FrameRange> ranges;
+  if (index.valid()) {
+    probe.score_threshold = stream.config.detection_threshold;
+    ranges = index.CandidateRanges(window.begin, window.end, probe);
+  } else if (window_frames > 0) {
+    ranges.push_back({window.begin, window.end});
+  }
+  if (stats != nullptr) {
+    stats->consulted = consulted;
+    stats->pruned = index.valid();
+    stats->window_frames = window_frames;
+    stats->candidate_frames = 0;
+    for (const auto& range : ranges) {
+      stats->candidate_frames += range.end - range.begin;
+    }
+  }
+  return ranges;
 }
 
 RequirementStats CountRequirementInstances(
@@ -99,34 +127,27 @@ void InsertSorted(std::vector<int64_t>* accepted, int64_t frame) {
       std::upper_bound(accepted->begin(), accepted->end(), frame), frame);
 }
 
+/// Membership test over ascending, disjoint ranges (the CandidateRanges
+/// contract).
+bool RangesContain(const std::vector<SketchIndex::FrameRange>& ranges,
+                   int64_t frame) {
+  auto it = std::upper_bound(ranges.begin(), ranges.end(), frame,
+                             [](int64_t f, const SketchIndex::FrameRange& r) {
+                               return f < r.begin;
+                             });
+  if (it == ranges.begin()) return false;
+  --it;
+  return frame >= it->begin && frame < it->end;
+}
+
+SketchProbe RequirementsProbe(
+    const std::vector<ClassCountRequirement>& reqs) {
+  SketchProbe probe;
+  probe.requirements = reqs;
+  return probe;
+}
+
 }  // namespace
-
-/// Candidate subranges of the scan window, in walk order. `pruned` is true
-/// when a valid sketch index restricted the walk (the ranges then cover
-/// only segments the sketches could not refute).
-struct ScrubbingExecutor::FrameRanges {
-  std::vector<SketchIndex::FrameRange> ranges;
-  bool pruned = false;
-
-  int64_t total_frames() const {
-    int64_t total = 0;
-    for (const auto& r : ranges) total += r.end - r.begin;
-    return total;
-  }
-
-  /// Membership test; requires the ranges in ascending order (the
-  /// CandidateRanges contract — never call on density-ordered runs).
-  bool Contains(int64_t frame) const {
-    auto it = std::upper_bound(
-        ranges.begin(), ranges.end(), frame,
-        [](int64_t f, const SketchIndex::FrameRange& r) {
-          return f < r.begin;
-        });
-    if (it == ranges.begin()) return false;
-    --it;
-    return frame >= it->begin && frame < it->end;
-  }
-};
 
 ScrubbingExecutor::ScrubbingExecutor(StreamData* stream, ScrubOptions options,
                                      ArtifactCache* sweep_cache,
@@ -154,42 +175,16 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   CostMeter meter;
 
   // --- sketch consultation (opt-in): candidate subranges of the window ---
-  FrameRanges candidates;
-  candidates.ranges = {{window.begin, window.end}};
-  FrameRanges scan_order = candidates;  // walk order of the scan fallback
-  if (options_.use_store_index && stream_->detection_store != nullptr) {
-    SketchIndex index = SketchIndex::Load(stream_->detection_store,
-                                          stream_->test_detections_ns);
-    if (index.valid()) {
-      SketchProbe probe;
-      probe.score_threshold = stream_->config.detection_threshold;
-      probe.requirements = reqs;
-      candidates.ranges =
-          index.CandidateRanges(window.begin, window.end, probe);
-      candidates.pruned = true;
-      scan_order = candidates;
-      if (options_.density_first) {
-        scan_order.ranges = index.DensityRankedRuns(
-            window.begin, window.end, probe, reqs.front().class_id);
-      }
-    }
-  }
-  const bool sketch_consulted =
-      options_.use_store_index && stream_->detection_store != nullptr;
+  ScrubResult result;
+  const std::vector<SketchIndex::FrameRange> candidates =
+      SketchCandidates(*stream_, options_.use_store_index, window,
+                       RequirementsProbe(reqs), &result.sketch);
+  const bool pruned = result.sketch.pruned;
   const int64_t n_window = window.end - window.begin;
-  auto fill_sketch_stats = [&](ScrubResult* r) {
-    r->sketch_consulted = sketch_consulted;
-    r->sketch_pruned = candidates.pruned;
-    r->sketch_window_frames = n_window;
-    r->sketch_candidate_frames =
-        candidates.pruned ? candidates.total_frames() : n_window;
-  };
-  if (candidates.ranges.empty()) {
+  if (candidates.empty()) {
     // Every segment of the window is provably free of matches.
-    ScrubResult empty;
-    empty.scan_exhausted = true;
-    fill_sketch_stats(&empty);
-    return empty;
+    result.scan_exhausted = true;
+    return result;
   }
 
   // --- training-data check (Section 7.1): any instance in the train day?
@@ -221,9 +216,9 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   if (train_instances == 0) {
     BLAZEIT_LOG(kDebug) << "no instances of the scrubbing query in the "
                            "training set; falling back to sequential scan";
-    Result<ScrubResult> fallback =
-        RunSequentialFallback(reqs, limit, gap, meter, scan_order);
-    if (fallback.ok()) fill_sketch_stats(&fallback.value());
+    ScrubResult fallback = ScanRanges(reqs, limit, gap, candidates);
+    fallback.fell_back_to_scan = true;
+    fallback.sketch = result.sketch;
     return fallback;
   }
 
@@ -255,11 +250,11 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   // refuted segments are skipped in the verification walk instead.
   const SyntheticVideo& test = *stream_->test_day;
   const bool restricted_sweep =
-      candidates.pruned && options_.confidence_smoothing <= 0;
+      pruned && options_.confidence_smoothing <= 0;
   std::vector<int64_t> test_frames;
   if (restricted_sweep) {
-    test_frames.reserve(static_cast<size_t>(candidates.total_frames()));
-    for (const auto& range : candidates.ranges) {
+    test_frames.reserve(static_cast<size_t>(result.sketch.candidate_frames));
+    for (const auto& range : candidates) {
       for (int64_t t = range.begin; t < range.end; ++t) {
         test_frames.push_back(t);
       }
@@ -308,7 +303,6 @@ Result<ScrubResult> ScrubbingExecutor::Run(
 
   // --- verify candidates with the full detector, best-first ---
   obs::TraceSpan verify_span(trace_, "verify", &meter);
-  ScrubResult result;
   std::vector<int64_t> accepted_sorted;
   bool limit_reached = false;
   for (int64_t index : order) {
@@ -321,8 +315,7 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     // need no verification: a sketch-refuted frame provably fails the
     // requirements, so in the unindexed walk it would charge a detector
     // call and change no state — skipping it is free and bit-identical.
-    if (candidates.pruned && !restricted_sweep &&
-        !candidates.Contains(frame)) {
+    if (pruned && !restricted_sweep && !RangesContain(candidates, frame)) {
       continue;
     }
     if (!GapAdmissible(accepted_sorted, frame, gap)) continue;
@@ -338,19 +331,34 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   result.indexed_seconds = meter.detection_seconds();
   result.detection_calls = meter.detection_calls();
   result.cost = meter;
-  fill_sketch_stats(&result);
   return result;
 }
 
-Result<ScrubResult> ScrubbingExecutor::RunSequentialFallback(
+Result<ScrubResult> ScrubbingExecutor::Scan(
     const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-    int64_t gap, CostMeter meter, const FrameRanges& ranges) {
+    int64_t gap, FrameWindow window) {
+  if (reqs.empty())
+    return Status::InvalidArgument("scrubbing needs at least one class");
+  if (limit <= 0) return Status::InvalidArgument("limit must be positive");
+  window = ClampFrameWindow(window, stream_->test_day->num_frames());
+  obs::SketchStats sketch;
+  const std::vector<SketchIndex::FrameRange> candidates =
+      SketchCandidates(*stream_, options_.use_store_index, window,
+                       RequirementsProbe(reqs), &sketch);
+  ScrubResult result = ScanRanges(reqs, limit, gap, candidates);
+  result.sketch = sketch;
+  return result;
+}
+
+ScrubResult ScrubbingExecutor::ScanRanges(
+    const std::vector<ClassCountRequirement>& reqs, int64_t limit,
+    int64_t gap, const std::vector<SketchIndex::FrameRange>& ranges) {
+  CostMeter meter;
   obs::TraceSpan span(trace_, "scan", &meter);
   ScrubResult result;
-  result.fell_back_to_scan = true;
   std::vector<int64_t> accepted_sorted;
   bool limit_reached = false;
-  for (const auto& range : ranges.ranges) {
+  for (const auto& range : ranges) {
     for (int64_t t = range.begin; t < range.end; ++t) {
       if (static_cast<int64_t>(result.frames.size()) >= limit) {
         limit_reached = true;

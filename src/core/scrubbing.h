@@ -6,14 +6,12 @@
 #include "core/catalog.h"
 #include "frameql/analyzer.h"
 #include "nn/specialized_nn.h"
+#include "obs/report.h"
 #include "sim/cost_model.h"
+#include "storage/segment_sketch.h"
 #include "util/status.h"
 
 namespace blazeit {
-
-namespace obs {
-class QueryTrace;  // obs/trace.h
-}
 
 struct ScrubOptions {
   SpecializedNNConfig nn;
@@ -35,12 +33,6 @@ struct ScrubOptions {
   /// only the charged NN/detector calls drop. A no-op unless the stream
   /// is store-backed and sketches are built and current.
   bool use_store_index = false;
-  /// With use_store_index: the sequential-scan fallback walks candidate
-  /// runs densest-first (NeedleTail-style) instead of ascending, so LIMIT
-  /// is typically satisfied after far fewer detector calls. This changes
-  /// the *discovery order* (and, under GAP, possibly which frames are
-  /// returned), so it is opt-in and outside the bit-identity contract.
-  bool density_first = false;
 };
 
 struct ScrubResult {
@@ -65,13 +57,8 @@ struct ScrubResult {
   /// True when the training day had no instances of the query and the
   /// executor fell back to a sequential scan (Section 7.1).
   bool fell_back_to_scan = false;
-  /// Sketch-index activity, for the query's ExecutionReport: whether the
-  /// index was consulted, whether a current index pruned the walk, and
-  /// the window vs. candidate frame counts (equal when unpruned).
-  bool sketch_consulted = false;
-  bool sketch_pruned = false;
-  int64_t sketch_window_frames = 0;
-  int64_t sketch_candidate_frames = 0;
+  /// Sketch-index activity, for the query's ExecutionReport.
+  obs::SketchStats sketch;
 };
 
 /// Executes cardinality-limited scrubbing queries (Section 7): trains one
@@ -83,8 +70,8 @@ struct ScrubResult {
 class ScrubbingExecutor {
  public:
   /// `stream` must outlive the executor. `sweep_cache` overrides the
-  /// stream's artifact cache (ExecuteBatch hands the batch's
-  /// SweepCacheView in here so concurrent queries share NN sweeps);
+  /// stream's artifact cache (the admission queue hands each query's
+  /// SweepCacheView in here so a shared-plan group shares NN sweeps);
   /// nullptr keeps the stream's persistent cache. `trace` (nullable)
   /// receives train/sweep/verify stage spans.
   ScrubbingExecutor(StreamData* stream, ScrubOptions options = {},
@@ -97,6 +84,16 @@ class ScrubbingExecutor {
                           int64_t limit, int64_t gap,
                           FrameWindow window = FrameWindow{});
 
+  /// The NN-free sequential scan: walks the sketch-candidate frames of
+  /// `window` in ascending order, skips frames within `gap` of an accepted
+  /// one, charges one detector call per examined frame, and stops at
+  /// `limit` matches. Run falls back to it when the training day holds no
+  /// instance of the query (Section 7.1); the serving layer's shed tier
+  /// runs it directly as its cheap baseline.
+  Result<ScrubResult> Scan(const std::vector<ClassCountRequirement>& reqs,
+                           int64_t limit, int64_t gap,
+                           FrameWindow window = FrameWindow{});
+
   /// Confidence scores over the last Run's scored frames in ascending
   /// frame order — the whole window, or only the sketch-candidate frames
   /// when index pruning restricted the sweep (empty if the executor fell
@@ -104,11 +101,10 @@ class ScrubbingExecutor {
   const std::vector<float>& confidences() const { return confidences_; }
 
  private:
-  struct FrameRanges;  // candidate subranges of the window, in walk order
-
-  Result<ScrubResult> RunSequentialFallback(
-      const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-      int64_t gap, CostMeter meter, const FrameRanges& ranges);
+  /// Scan's walk over already-consulted candidate ranges (ascending).
+  ScrubResult ScanRanges(const std::vector<ClassCountRequirement>& reqs,
+                         int64_t limit, int64_t gap,
+                         const std::vector<SketchIndex::FrameRange>& ranges);
 
   StreamData* stream_;
   ArtifactCache* cache_;
@@ -120,6 +116,16 @@ class ScrubbingExecutor {
 /// True if the frame's per-class counts satisfy every requirement.
 bool SatisfiesRequirements(const StreamData& stream, int64_t frame,
                            const std::vector<ClassCountRequirement>& reqs);
+
+/// The one sketch consultation every scanning plan shares: when
+/// `use_store_index` is on and a current sketch index exists for the
+/// stream's store, the subranges of `window` that `probe` cannot refute;
+/// otherwise the whole window (nothing for an empty one). The probe is
+/// evaluated at the stream's detection threshold. `stats` (nullable)
+/// receives the consultation outcome for the query's ExecutionReport.
+std::vector<SketchIndex::FrameRange> SketchCandidates(
+    const StreamData& stream, bool use_store_index, FrameWindow window,
+    SketchProbe probe, obs::SketchStats* stats);
 
 /// Number of test-day frames satisfying the requirements, and the number
 /// of distinct events (maximal runs of consecutive satisfying frames) —

@@ -67,9 +67,10 @@ struct SelectionResult {
 class SelectionExecutor {
  public:
   /// `stream` and `udfs` must outlive the executor. `sweep_cache`
-  /// overrides the stream's artifact cache (ExecuteBatch hands the
-  /// batch's SweepCacheView in here so concurrent queries share NN and
-  /// content-filter sweeps); nullptr keeps the stream's persistent cache.
+  /// overrides the stream's artifact cache (the admission queue hands
+  /// each query's SweepCacheView in here so a shared-plan group shares NN
+  /// and content-filter sweeps); nullptr keeps the stream's persistent
+  /// cache.
   /// `trace` (nullable) receives calibrate/train/cascade/verify spans.
   SelectionExecutor(StreamData* stream, const UdfRegistry* udfs,
                     SelectionOptions options = {},

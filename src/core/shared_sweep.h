@@ -12,25 +12,26 @@
 namespace blazeit {
 
 /// The in-memory artifact tier that makes multi-query batching pay: one
-/// SharedSweepCache is shared by every query of an ExecuteBatch call (or
-/// across batches by a QuerySession), so the first query of a shared-plan
-/// group trains the specialized NN and runs the per-frame sweeps, and the
-/// rest of the group reads the identical floats back instead of
-/// recomputing them. Keys are the same content fingerprints the persistent
-/// ArtifactCache uses, so a hit is bit-identical to recomputation and
-/// query outputs/simulated costs never depend on cache state.
+/// SharedSweepCache is shared by every query a serve::AdmissionQueue
+/// executes (across all of its windows), so the first query of a
+/// shared-plan group trains the specialized NN and runs the per-frame
+/// sweeps, and the rest of the group reads the identical floats back
+/// instead of recomputing them. Keys are the same content fingerprints
+/// the persistent ArtifactCache uses, so a hit is bit-identical to
+/// recomputation and query outputs/simulated costs never depend on cache
+/// state.
 ///
 /// Thread-safe (independent groups run concurrently on the exec pool);
 /// first write wins, which is benign for the same reason the detection
 /// store's rule is: values are deterministic per key, so a racing
 /// duplicate insert carries identical bytes.
 ///
-/// Unbounded by design: the cache is scoped to one batch (ExecuteBatch
-/// creates and drops one) or one QuerySession, and holds full-day sweep
-/// rows for every (stream, NN, class) it has served — a few MB each. A
-/// long-lived serving session over a varied query mix should be recycled
-/// periodically (or gain eviction when the ROADMAP's sharded-serving
-/// layer lands); the persistent store underneath loses nothing.
+/// Unbounded by design: the cache is scoped to one admission queue and
+/// holds full-day sweep rows for every (stream, NN, class) it has served
+/// — a few MB each. A long-lived queue over a varied query mix should be
+/// recycled periodically (or gain eviction when the ROADMAP's
+/// sharded-serving layer lands); the persistent store underneath loses
+/// nothing.
 class SharedSweepCache {
  public:
   SharedSweepCache() = default;
@@ -84,7 +85,7 @@ class SharedSweepCache {
 /// both tiers, so batching never loses persistence.
 ///
 /// The view also counts how much of this query's NN work the *shared*
-/// tier absorbed — the per-query numbers behind BatchQueryStats. A hit
+/// tier absorbed — the per-query numbers behind serve::BatchQueryStats. A hit
 /// this view takes directly on the persistent tier is not counted (serial
 /// execution would have been served by it too); it is promoted, though,
 /// so a *later* query's consumption of the same row counts as shared.

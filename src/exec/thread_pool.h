@@ -39,7 +39,9 @@ class ThreadPool {
     kDefault = 0,
     /// Latency-sensitive work admitted by serve::AdmissionQueue.
     kServing,
-    /// Throughput-oriented work: ExecuteBatch, training sweeps, ingest.
+    /// Throughput-oriented work (training sweeps, ingest). No engine path
+    /// tags its jobs with this class yet; it is kept for measuring caps
+    /// under real multi-core contention.
     kAnalytics,
   };
   static constexpr int kNumBudgets = 3;

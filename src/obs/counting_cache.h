@@ -10,8 +10,8 @@ namespace blazeit {
 namespace obs {
 
 /// Per-kind hit/miss counts of one query's artifact-cache traffic, plus
-/// the batch layer's shared-sweep sharing counters (filled by
-/// ExecuteBatch, zero for standalone execution).
+/// the shared-sweep sharing counters (filled by serve::AdmissionQueue,
+/// zero for standalone execution).
 struct CacheStats {
   int64_t frame_float_hits = 0;
   int64_t frame_float_misses = 0;

@@ -14,7 +14,6 @@
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "storage/segment_sketch.h"
 #include "util/string_util.h"
 
 namespace blazeit {
@@ -68,19 +67,7 @@ obs::Histogram* AdmissionLatencyHistogram() {
 }  // namespace
 
 AdmissionQueue::AdmissionQueue(BlazeItEngine* engine, ServeOptions options)
-    : engine_(engine), options_(options), scheduler_(engine) {
-  ThreadPool& pool = ThreadPool::Instance();
-  prev_serving_limit_ = pool.BudgetLimit(ThreadPool::Budget::kServing);
-  prev_analytics_limit_ = pool.BudgetLimit(ThreadPool::Budget::kAnalytics);
-  if (options_.serving_budget > 0) {
-    pool.SetBudgetLimit(ThreadPool::Budget::kServing,
-                        options_.serving_budget);
-  }
-  if (options_.analytics_budget > 0) {
-    pool.SetBudgetLimit(ThreadPool::Budget::kAnalytics,
-                        options_.analytics_budget);
-  }
-
+    : engine_(engine), options_(options) {
   statusz_token_ = obs::StatusRegistry::Global().AddSection("serve", [this] {
     ThreadPool& p = ThreadPool::Instance();
     util::MutexLock lock(mu_);
@@ -148,14 +135,6 @@ AdmissionQueue::~AdmissionQueue() {
     ticker_.join();
   }
   obs::StatusRegistry::Global().Remove(statusz_token_);
-  ThreadPool& pool = ThreadPool::Instance();
-  if (options_.serving_budget > 0) {
-    pool.SetBudgetLimit(ThreadPool::Budget::kServing, prev_serving_limit_);
-  }
-  if (options_.analytics_budget > 0) {
-    pool.SetBudgetLimit(ThreadPool::Budget::kAnalytics,
-                        prev_analytics_limit_);
-  }
 }
 
 Result<int64_t> AdmissionQueue::Submit(const std::string& client,
@@ -342,7 +321,7 @@ AdmissionQueue::client_counters() const {
 
 void AdmissionQueue::RunPending(util::MutexLock& lock) {
   mu_.AssertHeld();
-  // Cut the batch under mu_, then execute with only exec_mu_ held:
+  // Cut the window under mu_, then execute with only exec_mu_ held:
   // submissions keep flowing into the next window while this one runs,
   // and concurrently closed windows execute one at a time in cut order.
   std::vector<PendingEntry> batch = std::move(pending_);
@@ -361,14 +340,21 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
                                                 obs::Stability::kStable);
   batches_counter->Add();
 
+  // --- shared-plan pass: prepare errors and shed queries complete here;
+  // the rest are grouped by SharedSweepGroupKey over their window
+  // position, so with a fixed admission order the grouping — and
+  // therefore every output bit — replays exactly. Groups keep
+  // first-appearance order and queries keep admission order within a
+  // group, so each group's leader (the query that pays for its training
+  // run and sweeps) is always the earliest one.
   const size_t n = batch.size();
-  std::vector<ServeResponse> shells(n);
-  std::vector<ScheduledQuery> scheduled;
-  std::vector<size_t> slots;  // scheduled index -> batch index
+  std::vector<ServeResponse> responses(n);
+  std::vector<std::vector<size_t>> groups;
+  std::unordered_map<uint64_t, size_t> key_to_group;
   int64_t shed_this_batch = 0;
   for (size_t i = 0; i < n; ++i) {
     PendingEntry& entry = batch[i];
-    ServeResponse& resp = shells[i];
+    ServeResponse& resp = responses[i];
     resp.ticket = entry.ticket;
     resp.correlation_id = entry.correlation_id;
     resp.client = entry.client;
@@ -391,46 +377,77 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
       Deliver(std::move(resp), MsSince(shed_started));
       continue;
     }
-    // Not sheddable (or not shed): the full plan. Group keys use the
-    // batch position, so with a fixed admission order the grouping — and
-    // therefore every output bit — replays exactly.
-    ScheduledQuery sq;
-    sq.prepared = *entry.prepared;
-    sq.frameql = entry.frameql;
-    sq.trace = entry.trace;
-    sq.group_key = SharedSweepGroupKey(entry.prepared->query, i);
-    scheduled.push_back(std::move(sq));
-    slots.push_back(i);
+    auto [it, inserted] = key_to_group.emplace(
+        SharedSweepGroupKey(entry.prepared->query, i), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
-  // One scheduler run per window, against the scheduler's session sweeps
-  // (warm across windows). The callback streams each response out as its
-  // group completes, from whichever pool worker ran it. Wall times are
-  // batch-relative (cut to completion), the latency a waiting client saw.
+  // --- run the groups concurrently, each group serially ---
+  // Each query writes only its own slots, and its output is independent
+  // of scheduling because every shared-sweep hit is bit-identical to
+  // recomputation (the ArtifactCache contract). With a single group
+  // RunShards runs inline on this thread, so the group's NN work keeps
+  // full intra-query sharding; with several, the pool parallelizes
+  // across groups and each query's inner parallel sections run inline on
+  // its group's worker. Each response is delivered as its query finishes;
+  // wall times are window-relative (cut to completion), the latency a
+  // waiting client saw. `query_stats` keeps each successful query's
+  // accounting for the fold below.
+  std::vector<std::optional<BatchQueryStats>> query_stats(n);
   const auto batch_started = std::chrono::steady_clock::now();
-  ScheduleOutcome outcome = scheduler_.Run(
-      scheduled, /*sweeps=*/nullptr, ThreadPool::Budget::kServing,
-      [&](size_t j, const Result<QueryOutput>& result,
-          const BatchQueryStats& stats) {
-        ServeResponse resp = shells[slots[j]];
-        resp.output = result;
-        resp.stats = stats;
-        Deliver(std::move(resp), MsSince(batch_started));
-      });
+  ThreadPool::Instance().RunShards(
+      static_cast<int64_t>(groups.size()),
+      [&](int64_t g, int /*slot*/) {
+        for (size_t idx : groups[static_cast<size_t>(g)]) {
+          const PendingEntry& entry = batch[idx];
+          SweepCacheView view(&sweeps_, entry.prepared->stream->artifact_cache);
+          Result<QueryOutput> result = engine_->ExecutePrepared(
+              *entry.prepared, &view, entry.frameql, entry.trace);
+          ServeResponse& resp = responses[idx];
+          if (result.ok()) {
+            BatchQueryStats& qs = query_stats[idx].emplace();
+            qs.group = g;
+            qs.shared_nn_frames = view.shared_nn_frames();
+            qs.shared_filter_frames = view.shared_filter_frames();
+            qs.shared_models = view.shared_models();
+            if (result.value().report != nullptr) {
+              obs::ExecutionReport& report = *result.value().report;
+              report.batch_group = g;
+              report.cache.shared_nn_frames = qs.shared_nn_frames;
+              report.cache.shared_filter_frames = qs.shared_filter_frames;
+              report.cache.shared_models = qs.shared_models;
+            }
+            const CostMeter& cost = result.value().cost;
+            qs.standalone_seconds = cost.TotalSeconds();
+            double saved = static_cast<double>(qs.shared_nn_frames) *
+                               cost.profile().specialized_nn_sec_per_frame +
+                           static_cast<double>(qs.shared_filter_frames) *
+                               cost.profile().filter_sec_per_frame;
+            if (qs.shared_models > 0) saved += cost.training_seconds();
+            qs.batch_seconds = std::max(0.0, qs.standalone_seconds - saved);
+            resp.stats = qs;
+          }
+          resp.output = std::move(result);
+          Deliver(std::move(resp), MsSince(batch_started));
+        }
+      },
+      ThreadPool::Budget::kServing);
 
-  // Cumulative coalescing accounting: which groups spanned clients, and
-  // how much charged NN work the shared sweeps absorbed this window.
+  // Cumulative coalescing accounting, folded serially in window order:
+  // which groups spanned clients, and how much charged NN work the shared
+  // sweeps absorbed this window.
   std::unordered_map<int64_t, int64_t> group_sizes;
   std::unordered_map<int64_t, std::set<std::string>> group_clients;
   util::MutexLock stats_lock(mu_);
   ++stats_.batches;
   stats_.shed += shed_this_batch;
-  stats_.groups += outcome.groups;
-  for (size_t j = 0; j < scheduled.size(); ++j) {
-    if (!outcome.results[j].ok()) continue;
-    const BatchQueryStats& qs = outcome.stats[j];
+  stats_.groups += static_cast<int64_t>(groups.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (!query_stats[i].has_value()) continue;
+    const BatchQueryStats& qs = *query_stats[i];
     ++group_sizes[qs.group];
-    group_clients[qs.group].insert(batch[slots[j]].client);
+    group_clients[qs.group].insert(batch[i].client);
     stats_.shared_nn_frames += qs.shared_nn_frames;
     stats_.shared_filter_frames += qs.shared_filter_frames;
     stats_.shared_models += qs.shared_models;
@@ -481,59 +498,23 @@ Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
     out.cost = aqp.cost;
     if (report != nullptr) report->accuracy_tier = "degraded-sampling";
   } else {
-    // Sketch-only scan: no NN ranking; the sketch index (when current)
-    // still skips refuted segments, so shedding keeps the index's pruning
-    // while dropping the expensive specialized-NN ordering.
+    // Sketch-only scan: the scrubbing executor's ascending scan with no NN
+    // ranking; the sketch index (when current) still skips refuted
+    // segments, so shedding keeps the index's pruning while dropping the
+    // expensive specialized-NN ordering.
     out.plan = PlanKind::kScanScrubbing;
     out.plan_description = "load-shed: sketch-only scan, no NN ranking";
-    std::vector<SketchIndex::FrameRange> ranges;
-    bool pruned = false;
-    if (engine_->options().use_store_index &&
-        stream->detection_store != nullptr) {
-      SketchIndex index = SketchIndex::Load(stream->detection_store,
-                                            stream->test_detections_ns);
-      if (index.valid()) {
-        SketchProbe probe;
-        probe.score_threshold = stream->config.detection_threshold;
-        probe.requirements = query.requirements;
-        ranges = index.CandidateRanges(window.begin, window.end, probe);
-        pruned = true;
-      }
-    }
-    if (!pruned && window.end > window.begin) {
-      ranges.push_back({window.begin, window.end});
-    }
-    int64_t last_accepted = -1;
-    bool limit_reached = false;
-    for (const auto& range : ranges) {
-      for (int64_t t = range.begin; t < range.end && !limit_reached; ++t) {
-        if (static_cast<int64_t>(out.frames.size()) >= query.limit) {
-          limit_reached = true;
-          break;
-        }
-        if (last_accepted >= 0 && query.gap > 0 &&
-            t - last_accepted < query.gap) {
-          continue;
-        }
-        out.cost.ChargeDetection();
-        if (SatisfiesRequirements(*stream, t, query.requirements)) {
-          out.frames.push_back(t);
-          last_accepted = t;
-        }
-      }
-      if (limit_reached) break;
-    }
+    ScrubOptions scan_options;
+    scan_options.use_store_index = engine_->options().use_store_index;
+    ScrubbingExecutor executor(stream, scan_options);
+    BLAZEIT_ASSIGN_OR_RETURN(
+        ScrubResult scan,
+        executor.Scan(query.requirements, query.limit, query.gap, window));
+    out.frames = std::move(scan.frames);
+    out.cost = scan.cost;
     if (report != nullptr) {
       report->accuracy_tier = "degraded-scan";
-      report->sketch.consulted = engine_->options().use_store_index &&
-                                 stream->detection_store != nullptr;
-      report->sketch.pruned = pruned;
-      report->sketch.window_frames =
-          window.end > window.begin ? window.end - window.begin : 0;
-      report->sketch.candidate_frames = 0;
-      for (const auto& range : ranges) {
-        report->sketch.candidate_frames += range.end - range.begin;
-      }
+      report->sketch = scan.sketch;
     }
   }
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/scheduler.h"
+#include "core/shared_sweep.h"
 #include "util/mutex.h"
 
 namespace blazeit {
@@ -20,8 +20,8 @@ namespace serve {
 /// one-tick window, deep queue, generous quota, shedding off.
 struct ServeOptions {
   /// Virtual-clock ticks an admission window stays open: queries admitted
-  /// while a window is open coalesce into one scheduler run (cross-client
-  /// shared sweeps). 0 = pass-through — every Submit executes its query
+  /// while a window is open coalesce into one batch (cross-client shared
+  /// sweeps). 0 = pass-through — every Submit executes its query
   /// immediately and returns with the response already completed.
   int64_t window_ticks = 1;
   /// Bound on queries admitted-but-not-yet-executed. A Submit past the
@@ -37,18 +37,38 @@ struct ServeOptions {
   /// downgrade is reported in the response and its ExecutionReport
   /// accuracy_tier. < 0 disables shedding.
   int64_t shed_depth = -1;
-  /// Worker caps applied to the process pool's sub-pool budgets while
-  /// this queue exists (<= 0 leaves a budget unlimited): `serving_budget`
-  /// caps the queue's own jobs, `analytics_budget` caps concurrent
-  /// ExecuteBatch/training work so it cannot starve serving. Previous
-  /// caps are restored on destruction.
-  int serving_budget = 0;
-  int analytics_budget = 0;
   /// Wall-clock window driver (opt-in): > 0 starts a timer thread that
   /// calls Advance(1) every this-many milliseconds, so windows cut on
   /// real time without the caller driving the clock. 0 (default) keeps
   /// time fully virtual — the deterministic mode every replay test uses.
   int64_t wall_clock_tick_ms = 0;
+};
+
+/// Per-query shared-sweep accounting of one admission window. The query's
+/// QueryOutput (including its CostMeter) is bit-identical to a standalone
+/// Execute; these stats record what the window *actually* spent on top of
+/// that accounting — i.e. which charged NN work was served from another
+/// query's sweep instead of being recomputed. Sharing counters can vary
+/// with scheduling when *different* groups race on overlapping cache keys
+/// (e.g. two selection classes sharing one content-filter sweep); query
+/// outputs never do.
+struct BatchQueryStats {
+  /// Shared-plan group this query executed in (index into the window's
+  /// first-appearance group order).
+  int64_t group = 0;
+  /// Specialized-NN per-frame inferences served from the shared sweeps
+  /// (charged to this query's meter, computed by another query).
+  int64_t shared_nn_frames = 0;
+  /// Per-frame filter scores served from the shared sweeps.
+  int64_t shared_filter_frames = 0;
+  /// Trained NN weight blobs reused from the shared sweeps (0 or 1).
+  int64_t shared_models = 0;
+  /// Simulated seconds the query charges standalone
+  /// (== QueryOutput::cost.TotalSeconds()).
+  double standalone_seconds = 0.0;
+  /// Standalone seconds minus the NN training/inference the shared sweeps
+  /// absorbed: what this query actually added to the window.
+  double batch_seconds = 0.0;
 };
 
 /// One submitted query's response. `output` and its CostMeter are
@@ -66,9 +86,9 @@ struct ServeResponse {
   /// Load shedding downgraded this query to a baseline plan.
   bool degraded = false;
   Result<QueryOutput> output{Status::Internal("pending")};
-  /// Shared-sweep accounting within the coalesced batch (group index,
-  /// NN frames / models served from another client's sweep). All-zero
-  /// for failed or degraded queries.
+  /// Shared-sweep accounting within the coalesced window (group index,
+  /// NN frames / models served from another query's sweep). All-zero for
+  /// failed or degraded queries.
   BatchQueryStats stats;
 };
 
@@ -88,7 +108,7 @@ struct ServerStats {
   /// Queries that shared a group with at least one other query.
   int64_t coalesced_queries = 0;
   /// Groups whose members came from more than one client — the
-  /// cross-client amortization ExecuteBatch alone cannot reach.
+  /// cross-client amortization a per-client batch cannot reach.
   int64_t cross_client_groups = 0;
   int64_t shared_nn_frames = 0;
   int64_t shared_filter_frames = 0;
@@ -97,23 +117,38 @@ struct ServerStats {
   double batch_seconds = 0.0;
 };
 
-/// The multi-tenant serving core: a bounded admission queue in front of
-/// QueryScheduler. Arriving queries are parsed/analyzed at Submit time,
-/// held for the batching window, coalesced *across clients* by
-/// SharedSweepGroupKey, executed as one scheduler run (sweeps stay warm
-/// across windows in the scheduler's session cache), and streamed into
-/// the completed set as their group finishes.
+/// The engine's batching path and multi-tenant serving core. Arriving
+/// queries are parsed/analyzed at Submit time and held for the batching
+/// window. When the window cuts, its queries are grouped *across clients*
+/// by SharedSweepGroupKey (groups keep first-appearance order; queries in
+/// a group run serially, earliest first, so the leader pays for the
+/// group's NN training run and sweeps). Groups run concurrently on the
+/// exec pool, every query reads through its own SweepCacheView onto the
+/// queue's SharedSweepCache, and each response is delivered as its group
+/// finishes. The sweep cache lives as long as the queue, so later windows
+/// reuse earlier windows' sweeps.
+///
+/// One-client batch execution is a window with a high per_client_quota:
+///
+///   ServeOptions options;
+///   options.window_ticks = 100;       // hold queries until Drain()
+///   options.per_client_quota = 1 << 20;
+///   AdmissionQueue queue(&engine, options);
+///   for (const std::string& q : queries) queue.Submit("batch", q);
+///   queue.Drain();
+///   std::vector<ServeResponse> responses = queue.TakeCompleted();
 ///
 /// Time is a deterministic virtual clock advanced by Advance(), so tests
 /// replay admission schedules exactly. Determinism contract: with a fixed
 /// admission order, every non-degraded response's output — answer,
 /// frames, rows, simulated CostMeter — is bit-identical to serial
-/// engine.Execute at any pool size (tests/serve_determinism_test.cc);
-/// coalescing only drops *charged* work, visible in stats.
+/// engine.Execute at any pool size (tests/serve_determinism_test.cc,
+/// tests/batch_determinism_test.cc); coalescing only drops *charged*
+/// work, visible in stats.
 ///
 /// Thread-safe: Submit/Advance/Drain/TakeCompleted may be called from
-/// concurrent client threads. Batches execute one at a time, in the order
-/// their windows closed.
+/// concurrent client threads. Windows execute one at a time, in the order
+/// they closed.
 class AdmissionQueue {
  public:
   /// `engine` (and its catalog) must outlive the queue.
@@ -154,6 +189,9 @@ class AdmissionQueue {
   ServerStats stats() const BLAZEIT_EXCLUDES(mu_);
   const ServeOptions& options() const { return options_; }
 
+  /// The queue's shared sweep tier (diagnostics: resident record counts).
+  const SharedSweepCache& sweeps() const { return sweeps_; }
+
   /// Lifetime per-tenant accounting (rendered in the /statusz "serve"
   /// section alongside the aggregate ServerStats).
   struct ClientCounters {
@@ -178,9 +216,10 @@ class AdmissionQueue {
     std::optional<PreparedQuery> prepared;
   };
 
-  /// Cuts the pending batch and executes it. Entered with `lock` held on
-  /// mu_; unlocks it before executing (so Submit keeps working into the
-  /// next window) and leaves it unlocked. The hand-off through a scoped-
+  /// Cuts the pending window and executes it under the shared-plan
+  /// grouping. Entered with `lock` held on mu_; unlocks it before
+  /// executing (so Submit keeps working into the next window) and leaves
+  /// it unlocked. The hand-off through a scoped-
   /// lock reference is beyond the static analysis (which cannot track a
   /// capability through a reference parameter), so the entry contract is
   /// asserted at runtime instead.
@@ -201,13 +240,13 @@ class AdmissionQueue {
 
   BlazeItEngine* engine_;
   ServeOptions options_;
-  QueryScheduler scheduler_;
-  int prev_serving_limit_ = 0;
-  int prev_analytics_limit_ = 0;
+  /// Cross-query artifact tier, warm across windows. Internally
+  /// synchronized: a window's groups read and write it concurrently.
+  SharedSweepCache sweeps_;
   int64_t statusz_token_ = 0;
 
   mutable util::Mutex mu_;
-  /// Serializes batch execution; taken only with mu_ released.
+  /// Serializes window execution; taken only with mu_ released.
   util::Mutex exec_mu_;
   int64_t clock_ BLAZEIT_GUARDED_BY(mu_) = 0;
   int64_t window_open_tick_ BLAZEIT_GUARDED_BY(mu_) = 0;

@@ -479,46 +479,4 @@ std::vector<SketchIndex::FrameRange> SketchIndex::CandidateRanges(
   return out;
 }
 
-int64_t SketchIndex::SegmentDensity(const SegmentSketch& sketch,
-                                    const SketchProbe& probe,
-                                    int density_class) const {
-  if (SegmentCannotMatch(sketch, probe)) return 0;
-  const ClassSketch* cs = FindClass(sketch, density_class);
-  if (cs == nullptr) return 0;
-  return cs->frames_ge1[ThresholdBucket(probe.score_threshold)];
-}
-
-std::vector<SketchIndex::FrameRange> SketchIndex::DensityRankedRuns(
-    int64_t begin, int64_t end, const SketchProbe& probe,
-    int density_class) const {
-  std::vector<FrameRange> runs = CandidateRanges(begin, end, probe);
-  if (!valid_ || runs.size() <= 1) return runs;
-  struct Ranked {
-    FrameRange range;
-    int64_t density;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(runs.size());
-  for (const FrameRange& run : runs) {
-    int64_t density = 0;
-    for (const SegmentSketch& block : blocks_) {
-      const int64_t b_end = block.first_frame + kSketchBlockFrames;
-      if (b_end <= run.begin) continue;
-      if (block.first_frame >= run.end) break;
-      density += SegmentDensity(block, probe, density_class);
-    }
-    ranked.push_back({run, density});
-  }
-  // Highest density first; equal densities keep temporal order, so the
-  // walk is deterministic.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const Ranked& a, const Ranked& b) {
-                     return a.density > b.density;
-                   });
-  std::vector<FrameRange> out;
-  out.reserve(ranked.size());
-  for (const Ranked& r : ranked) out.push_back(r.range);
-  return out;
-}
-
 }  // namespace blazeit

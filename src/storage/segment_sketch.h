@@ -64,9 +64,9 @@ uint64_t SketchNamespace(uint64_t base_ns);
 struct ClassSketch {
   int32_t class_id = 0;
   /// frames_ge1[i]: frames with >= 1 detection of the class at score grid
-  /// bucket i — the temporal density signal NeedleTail-style run ranking
-  /// uses. max_count_ge[i]: max per-frame count at bucket i — bounds any
-  /// HAVING SUM(class=c) >= n conjunct.
+  /// bucket i (a temporal density summary; no probe reads it yet, but it
+  /// is part of the on-disk format). max_count_ge[i]: max per-frame count
+  /// at bucket i — bounds any HAVING SUM(class=c) >= n conjunct.
   uint32_t frames_ge1[kSketchScoreBuckets] = {};
   uint32_t max_count_ge[kSketchScoreBuckets] = {};
   /// Score and geometry ranges over ALL detections of the class (any
@@ -191,20 +191,6 @@ class SketchIndex {
   };
   std::vector<FrameRange> CandidateRanges(int64_t begin, int64_t end,
                                           const SketchProbe& probe) const;
-
-  /// Temporal density of a segment under the probe: frames with >= 1
-  /// detection of `density_class` at the probe threshold, 0 when the
-  /// probe refutes the segment. The ranking signal for density-first
-  /// exploration of LIMIT queries.
-  int64_t SegmentDensity(const SegmentSketch& sketch, const SketchProbe& probe,
-                         int density_class) const;
-
-  /// CandidateRanges split into maximal runs of adjacent candidate
-  /// segments and ordered by total density, highest first (ties: earlier
-  /// run first, for determinism). Frames inside a run stay ascending.
-  std::vector<FrameRange> DensityRankedRuns(int64_t begin, int64_t end,
-                                            const SketchProbe& probe,
-                                            int density_class) const;
 
  private:
   bool valid_ = false;

@@ -1,24 +1,30 @@
-// The batch layer's headline contract, asserted end to end: ExecuteBatch
-// is *byte-identical* to calling Execute serially per query — answers,
-// matched frames, selection rows, and simulated costs — at pool sizes 1
-// (pool disabled), 2, and 8, even though the batch shares one NN training
-// run and one per-frame sweep across each shared-plan group. Also covers
-// the batch bookkeeping itself (grouping, sharing stats, error slots) and
-// the QuerySession wrapper's cross-batch warm sweeps.
+// The batching path's headline contract, asserted end to end: a
+// one-client admission window is *byte-identical* to calling Execute
+// serially per query — answers, matched frames, selection rows, and
+// simulated costs — at pool sizes 1 (pool disabled), 2, and 8, even
+// though the window shares one NN training run and one per-frame sweep
+// across each shared-plan group. Also covers the batch bookkeeping itself
+// (grouping, sharing stats, error slots) and the queue's warm sweeps
+// across windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_session.h"
 #include "core/shared_sweep.h"
 #include "exec/thread_pool.h"
+#include "serve/admission_queue.h"
 #include "testing/test_util.h"
 
 namespace blazeit {
 namespace {
+
+using serve::AdmissionQueue;
+using serve::ServeOptions;
+using serve::ServeResponse;
 
 ::testing::AssertionResult BitsEqual(double a, double b) {
   if (std::memcmp(&a, &b, sizeof(double)) == 0) {
@@ -26,6 +32,32 @@ namespace {
   }
   return ::testing::AssertionFailure()
          << a << " and " << b << " differ in bits";
+}
+
+/// One client's batch: the window stays open until Drain, and the quota
+/// never refuses a query.
+ServeOptions BatchOptions() {
+  ServeOptions options;
+  options.window_ticks = 100;
+  options.per_client_quota = 1 << 20;
+  return options;
+}
+
+/// Runs `queries` as one admission window of one client and returns the
+/// responses in submission order.
+std::vector<ServeResponse> RunWindow(AdmissionQueue* queue,
+                                     const std::vector<std::string>& queries) {
+  for (const std::string& q : queries) {
+    auto ticket = queue->Submit("batch", q);
+    EXPECT_TRUE(ticket.ok()) << ticket.status().ToString();
+  }
+  queue->Drain();
+  std::vector<ServeResponse> responses = queue->TakeCompleted();
+  std::sort(responses.begin(), responses.end(),
+            [](const ServeResponse& a, const ServeResponse& b) {
+              return a.ticket < b.ticket;
+            });
+  return responses;
 }
 
 /// The batch mixes every executor kind, exercises shared-plan grouping
@@ -117,19 +149,17 @@ TEST_F(BatchDeterminismTest, BatchMatchesSerialExecuteAtEveryPoolSize) {
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     exec::ThreadPool::Instance().Reconfigure(threads);
-    auto batch = engine_->ExecuteBatch(queries);
-    BLAZEIT_ASSERT_OK(batch);
-    const BatchOutput& out = batch.value();
-    ASSERT_EQ(out.results.size(), queries.size());
-    ASSERT_EQ(out.stats.size(), queries.size());
+    AdmissionQueue queue(engine_, BatchOptions());
+    const std::vector<ServeResponse> out = RunWindow(&queue, queries);
+    ASSERT_EQ(out.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("query[" + std::to_string(i) + "]: " + queries[i]);
-      ASSERT_EQ(out.results[i].ok(), serial[i].ok());
+      ASSERT_EQ(out[i].output.ok(), serial[i].ok());
       if (!serial[i].ok()) {
-        EXPECT_EQ(out.results[i].status(), serial[i].status());
+        EXPECT_EQ(out[i].output.status(), serial[i].status());
         continue;
       }
-      ExpectSameOutput(out.results[i].value(), serial[i].value());
+      ExpectSameOutput(out[i].output.value(), serial[i].value());
     }
   }
 }
@@ -137,79 +167,78 @@ TEST_F(BatchDeterminismTest, BatchMatchesSerialExecuteAtEveryPoolSize) {
 TEST_F(BatchDeterminismTest, SharedPlanGroupingCollapsesSameSweepQueries) {
   const std::vector<std::string> queries(std::begin(kBatchQueries),
                                          std::end(kBatchQueries));
-  auto batch = engine_->ExecuteBatch(queries);
-  BLAZEIT_ASSERT_OK(batch);
-  const BatchOutput& out = batch.value();
+  AdmissionQueue queue(engine_, BatchOptions());
+  const std::vector<ServeResponse> out = RunWindow(&queue, queries);
+  ASSERT_EQ(out.size(), queries.size());
+  const serve::ServerStats stats = queue.stats();
 
   // 3 aggregates -> 1 group, 2 scrubbings -> 1 group, selection, binary
   // select, exhaustive, count-distinct -> 1 each (the parse error gets no
   // group).
-  EXPECT_EQ(out.groups, 6);
-  EXPECT_EQ(out.stats[0].group, out.stats[1].group);
-  EXPECT_EQ(out.stats[0].group, out.stats[2].group);
-  EXPECT_EQ(out.stats[3].group, out.stats[4].group);
-  EXPECT_NE(out.stats[0].group, out.stats[3].group);
+  EXPECT_EQ(stats.groups, 6);
+  EXPECT_EQ(out[0].stats.group, out[1].stats.group);
+  EXPECT_EQ(out[0].stats.group, out[2].stats.group);
+  EXPECT_EQ(out[3].stats.group, out[4].stats.group);
+  EXPECT_NE(out[0].stats.group, out[3].stats.group);
 
   // Followers of a shared-plan group reuse the leader's trained model and
-  // per-frame sweep: the batch charges NN cost for ~one sweep, not N.
-  EXPECT_EQ(out.stats[0].shared_models, 0);  // leader trains
-  EXPECT_EQ(out.stats[1].shared_models, 1);
-  EXPECT_EQ(out.stats[2].shared_models, 1);
-  EXPECT_GT(out.stats[1].shared_nn_frames, 0);
-  EXPECT_GT(out.stats[2].shared_nn_frames, 0);
-  EXPECT_EQ(out.stats[4].shared_models, 1);
-  EXPECT_GT(out.stats[4].shared_nn_frames, 0);
+  // per-frame sweep: the window charges NN cost for ~one sweep, not N.
+  EXPECT_EQ(out[0].stats.shared_models, 0);  // leader trains
+  EXPECT_EQ(out[1].stats.shared_models, 1);
+  EXPECT_EQ(out[2].stats.shared_models, 1);
+  EXPECT_GT(out[1].stats.shared_nn_frames, 0);
+  EXPECT_GT(out[2].stats.shared_nn_frames, 0);
+  EXPECT_EQ(out[4].stats.shared_models, 1);
+  EXPECT_GT(out[4].stats.shared_nn_frames, 0);
 
-  // Savings surface in the batch accounting, never in per-query meters.
-  EXPECT_GT(out.standalone_seconds, out.batch_seconds);
-  EXPECT_LT(out.stats[1].batch_seconds, out.stats[1].standalone_seconds);
+  // Savings surface in the window accounting, never in per-query meters.
+  EXPECT_GT(stats.standalone_seconds, stats.batch_seconds);
+  EXPECT_LT(out[1].stats.batch_seconds, out[1].stats.standalone_seconds);
   // The follower aggregate's entire NN bill (training + held-out + test
   // sweeps) is absorbed; what remains is its detector sampling.
-  const CostMeter& follower = out.results[1].value().cost;
-  EXPECT_LT(out.stats[1].batch_seconds,
+  const CostMeter& follower = out[1].output.value().cost;
+  EXPECT_LT(out[1].stats.batch_seconds,
             follower.TotalSeconds() - follower.training_seconds());
 }
 
-TEST_F(BatchDeterminismTest, EmptyBatchIsOk) {
-  auto batch = engine_->ExecuteBatch({});
-  BLAZEIT_ASSERT_OK(batch);
-  EXPECT_TRUE(batch.value().results.empty());
-  EXPECT_EQ(batch.value().groups, 0);
+TEST_F(BatchDeterminismTest, EmptyWindowIsOk) {
+  AdmissionQueue queue(engine_, BatchOptions());
+  EXPECT_TRUE(RunWindow(&queue, {}).empty());
+  EXPECT_EQ(queue.stats().groups, 0);
 }
 
-TEST_F(BatchDeterminismTest, QuerySessionKeepsSweepsWarmAcrossBatches) {
-  QuerySession session(engine_);
+TEST_F(BatchDeterminismTest, QueueKeepsSweepsWarmAcrossWindows) {
+  AdmissionQueue queue(engine_, BatchOptions());
   const std::string agg =
       "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' "
       "ERROR WITHIN 0.1 AT CONFIDENCE 95%";
 
-  session.Add(agg);
-  auto first = session.Run();
-  BLAZEIT_ASSERT_OK(first);
-  ASSERT_TRUE(first.value().results[0].ok());
-  EXPECT_EQ(session.pending(), 0);
-  // The session's sweep tier now holds the trained model + per-frame rows.
-  EXPECT_GT(session.sweeps().frame_float_records(), 0);
-  EXPECT_GE(session.sweeps().blob_records(), 1);
+  const std::vector<ServeResponse> first = RunWindow(&queue, {agg});
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first[0].output.ok());
+  EXPECT_EQ(queue.queue_depth(), 0);
+  // The queue's sweep tier now holds the trained model + per-frame rows.
+  EXPECT_GT(queue.sweeps().frame_float_records(), 0);
+  EXPECT_GE(queue.sweeps().blob_records(), 1);
 
-  // A second batch re-asking about the same (stream, class) is served
+  // A second window re-asking about the same (stream, class) is served
   // entirely from the warm sweeps...
-  session.Add(agg);
-  auto second = session.Run();
-  BLAZEIT_ASSERT_OK(second);
-  ASSERT_TRUE(second.value().results[0].ok());
-  EXPECT_EQ(second.value().stats[0].shared_models, 1);
-  EXPECT_GT(second.value().stats[0].shared_nn_frames, 0);
+  const std::vector<ServeResponse> second = RunWindow(&queue, {agg});
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(second[0].output.ok());
+  EXPECT_EQ(second[0].stats.shared_models, 1);
+  EXPECT_GT(second[0].stats.shared_nn_frames, 0);
 
   // ...and still returns bit-identical output, including the meter.
   auto serial = engine_->Execute(agg);
   BLAZEIT_ASSERT_OK(serial);
-  ExpectSameOutput(second.value().results[0].value(), serial.value());
+  ExpectSameOutput(second[0].output.value(), serial.value());
 
-  // Session single-query path matches too.
-  auto single = session.Execute(agg);
-  BLAZEIT_ASSERT_OK(single);
-  ExpectSameOutput(single.value(), serial.value());
+  // A third one-query window on the same warm queue matches too.
+  const std::vector<ServeResponse> single = RunWindow(&queue, {agg});
+  ASSERT_EQ(single.size(), 1u);
+  BLAZEIT_ASSERT_OK(single[0].output);
+  ExpectSameOutput(single[0].output.value(), serial.value());
 }
 
 }  // namespace

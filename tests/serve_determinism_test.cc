@@ -8,7 +8,7 @@
 // submit concurrently; an atomic turn counter fixes the admission order,
 // which is the only scheduling input the results depend on. Also asserts
 // the point of coalescing: cross-client groups form and measurably absorb
-// charged NN work, and the scheduler's session sweeps stay warm across
+// charged NN work, and the queue's shared sweeps stay warm across
 // admission windows.
 #include <gtest/gtest.h>
 
@@ -183,7 +183,7 @@ TEST_F(ServeDeterminismTest, EightClientWindowCoalescesAcrossClients) {
   EXPECT_EQ(stats.groups, 4);
   EXPECT_EQ(stats.coalesced_queries, 6);
   // Every member of the two shared groups came from a different client —
-  // the cross-client amortization a per-client ExecuteBatch cannot reach.
+  // the cross-client amortization a per-client batch cannot reach.
   EXPECT_EQ(stats.cross_client_groups, 2);
   // The sharing is measurable, not nominal: follower clients' NN frames
   // and trained models were served from another client's sweep, so the
@@ -214,7 +214,7 @@ TEST_F(ServeDeterminismTest, SessionSweepsStayWarmAcrossWindows) {
   EXPECT_EQ(first[0].stats.shared_models, 0);  // leader trains
 
   // Window 2: a different client's same-class aggregate is served from
-  // the warm session sweeps — and still matches serial Execute to the
+  // the queue's warm sweeps — and still matches serial Execute to the
   // bit, because a sweep hit only changes *charged* accounting.
   BLAZEIT_ASSERT_OK(queue.Submit("bob", kClientQueries[1]));
   queue.Advance();

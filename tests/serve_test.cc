@@ -4,10 +4,11 @@
 // bit-identical to serial Execute, parse errors landing in the response
 // slot (not the Submit result), load shedding downgrading aggregates and
 // scrubbing to the paper's cheap baselines with the downgrade disclosed
-// in the ExecutionReport's accuracy_tier, and cross-client coalescing
-// surfacing in ServerStats. Everything here avoids NN training (naive
-// selections, exhaustive scans, shed baselines) so the suite stays in
-// the fast lane; the bit-identity sweep across pool sizes lives in
+// in the ExecutionReport's accuracy_tier (the shed scan pinned to an
+// independent ascending walk), and cross-client coalescing surfacing in
+// ServerStats. Everything here avoids NN training (naive selections,
+// exhaustive scans, shed baselines) so the suite stays in the fast lane;
+// the bit-identity sweep across pool sizes lives in
 // serve_determinism_test.cc.
 #include <gtest/gtest.h>
 
@@ -245,6 +246,38 @@ TEST_F(ServeTest, ShedScrubbingDowngradesToSketchOnlyScan) {
   EXPECT_EQ(out.cost.specialized_nn_calls(), 0);
   ASSERT_NE(out.report, nullptr);
   EXPECT_EQ(out.report->accuracy_tier, "degraded-scan");
+}
+
+TEST_F(ServeTest, ShedScrubbingScanMatchesAscendingReference) {
+  // Independent reference for kScrubbing (>= 2 cars, LIMIT 5, GAP 50):
+  // walk the test day's labels in ascending order, skip frames within 50
+  // of the last accepted one, count one detector call per examined frame,
+  // and stop once five frames are accepted.
+  const std::vector<int>& cars = stream_->test_labels->Counts(kCar);
+  std::vector<int64_t> expected;
+  int64_t expected_calls = 0;
+  for (int64_t t = 0;
+       t < static_cast<int64_t>(cars.size()) && expected.size() < 5; ++t) {
+    if (!expected.empty() && t - expected.back() < 50) continue;
+    ++expected_calls;
+    if (cars[static_cast<size_t>(t)] >= 2) expected.push_back(t);
+  }
+  ASSERT_FALSE(expected.empty());
+
+  ServeOptions options;
+  options.window_ticks = 100;
+  options.shed_depth = 0;
+  AdmissionQueue queue(engine_, options);
+  BLAZEIT_ASSERT_OK(queue.Submit("alice", kScrubbing));
+  queue.Drain();
+
+  std::vector<ServeResponse> completed = queue.TakeCompleted();
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_TRUE(completed[0].degraded);
+  BLAZEIT_ASSERT_OK(completed[0].output);
+  const QueryOutput& out = completed[0].output.value();
+  EXPECT_EQ(out.frames, expected);
+  EXPECT_EQ(out.cost.detection_calls(), expected_calls);
 }
 
 TEST_F(ServeTest, ShedLeavesUnsheddableKindsOnFullPlan) {

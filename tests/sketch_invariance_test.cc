@@ -157,57 +157,5 @@ TEST_F(SketchInvarianceTest, StaleSketchesFallBackToUnindexedPath) {
             plain.value().cost.TotalSeconds());
 }
 
-TEST_F(SketchInvarianceTest, DensityFirstScrubbingReturnsOnlyTruePositives) {
-  // density_first re-orders the fallback walk (NeedleTail-style), which
-  // is outside the bit-identity contract — but it must still return only
-  // verified matches, respect LIMIT, and find no fewer frames than the
-  // ascending fallback.
-  // A deliberately short training day against a long test day, so rare
-  // high-count events exist to find but never appeared during training.
-  VideoCatalog catalog;
-  BLAZEIT_ASSERT_OK(catalog.EnableDetectionStore(dir_));
-  BLAZEIT_ASSERT_OK(catalog.AddStream(
-      TaipeiConfig(), testutil::SmallDays(400, 400, 8000)));
-  StreamData* stream = catalog.GetStream("taipei").value();
-
-  // Find a requirement with test-day matches but no training-day
-  // instances, so the executor takes the sequential-scan fallback that
-  // density_first reorders.
-  int n = -1;
-  for (int cand = 8; cand >= 2; --cand) {
-    int64_t train_matches = 0;
-    for (int c : stream->train_labels->Counts(kCar)) {
-      if (c >= cand) ++train_matches;
-    }
-    auto stats = CountRequirementInstances(*stream, {{kCar, cand}});
-    if (train_matches == 0 && stats.matching_frames > 0) {
-      n = cand;
-      break;
-    }
-  }
-  if (n < 0) GTEST_SKIP() << "no fallback-triggering requirement available";
-
-  ScrubOptions options = testutil::SmallNNOptions<ScrubOptions>();
-  ScrubbingExecutor plain_ex(stream, options);
-  auto plain = plain_ex.Run({{kCar, n}}, 3, 0);
-  BLAZEIT_ASSERT_OK(plain);
-  EXPECT_TRUE(plain.value().fell_back_to_scan);
-
-  BLAZEIT_ASSERT_OK(
-      stream->detection_store->BuildSketches(stream->test_detections_ns));
-  options.use_store_index = true;
-  options.density_first = true;
-  ScrubbingExecutor dense_ex(stream, options);
-  auto dense = dense_ex.Run({{kCar, n}}, 3, 0);
-  BLAZEIT_ASSERT_OK(dense);
-  EXPECT_TRUE(dense.value().fell_back_to_scan);
-  EXPECT_EQ(dense.value().frames.size(), plain.value().frames.size());
-  const auto& counts = stream->test_labels->Counts(kCar);
-  for (int64_t f : dense.value().frames) {
-    EXPECT_GE(counts[static_cast<size_t>(f)], n) << f;
-  }
-  EXPECT_EQ(dense.value().limit_satisfied, plain.value().limit_satisfied);
-}
-
 }  // namespace
 }  // namespace blazeit

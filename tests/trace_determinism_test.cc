@@ -3,8 +3,8 @@
 // sketch loads, exec run/shard counts, NN batches/frames, persistent-tier
 // cache hits) and its trace's span structure are a function of the work
 // executed, not of scheduling — so they must be bit-identical at pool
-// sizes 1, 2, and 8, and identical between serial Execute and
-// ExecuteBatch. Unstable instruments (which thread claimed a shard, queue
+// sizes 1, 2, and 8, and identical between serial Execute and a batched
+// admission window. Unstable instruments (which thread claimed a shard, queue
 // depths, shared-tier cache races) are exported but excluded via
 // MetricsSnapshot::StableOnly().
 //
@@ -13,12 +13,14 @@
 // family's Chrome trace JSON is well-formed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
+#include "serve/admission_queue.h"
 #include "testing/json_util.h"
 #include "testing/test_util.h"
 
@@ -163,15 +165,31 @@ TEST_F(TraceDeterminismTest, BatchSpanStructureMatchesSerial) {
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(RunOnce(queries[i], &serial[i]));
   }
-  auto batch = engine_->ExecuteBatch(queries);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  // One window holding every query: the batching path.
+  serve::ServeOptions options;
+  options.window_ticks = 100;
+  serve::AdmissionQueue queue(engine_, options);
+  std::vector<int64_t> tickets;
+  for (const std::string& q : queries) {
+    auto ticket = queue.Submit("batch", q);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(ticket.value());
+  }
+  queue.Drain();
+  std::vector<serve::ServeResponse> responses = queue.TakeCompleted();
+  ASSERT_EQ(responses.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE(queries[i]);
-    ASSERT_TRUE(batch.value().results[i].ok());
-    const QueryOutput& out = batch.value().results[i].value();
+    auto resp = std::find_if(responses.begin(), responses.end(),
+                             [&](const serve::ServeResponse& r) {
+                               return r.ticket == tickets[i];
+                             });
+    ASSERT_NE(resp, responses.end());
+    ASSERT_TRUE(resp->output.ok());
+    const QueryOutput& out = resp->output.value();
     ASSERT_NE(out.report, nullptr);
     ASSERT_NE(out.report->trace, nullptr);
-    // Identical span structure: the batch layer shares sweeps but never
+    // Identical span structure: the batching path shares sweeps but never
     // changes which lifecycle stages a query runs.
     EXPECT_EQ(out.report->trace->StructureSignature(), serial[i].structure);
     EXPECT_GE(out.report->batch_group, 0);
