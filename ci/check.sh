@@ -37,7 +37,8 @@ cmake --preset release > /dev/null
 cmake --build --preset release -j "${JOBS}" --target blazeit > /dev/null
 
 STORE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-store.XXXXXX")"
-trap 'rm -rf "${STORE_DIR}"' EXIT
+SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-smoke.XXXXXX")"
+trap 'rm -rf "${STORE_DIR}" "${SMOKE_DIR}"' EXIT
 
 # Lane wall-clock comes from ctest's own "Total Test time (real)" line:
 # portable (no GNU date +%N) and measures only the tests themselves.
@@ -69,6 +70,24 @@ if [[ -x "${STORECLI}" ]]; then
   "${STORECLI}" sketch verify "${STORE_DIR}"
   "${STORECLI}" verify "${STORE_DIR}"
 
+  # Store read-through smoke: building the same 50 frames twice into a
+  # fresh store must compute them once, then read every one back through
+  # the store-backed CachedDetector. Gating.
+  echo "==> storecli: build read-through smoke"
+  BUILD_OUT="$("${STORECLI}" build "${SMOKE_DIR}" taipei test 50)"
+  grep -qF '(50 computed, 0 already stored)' <<< "${BUILD_OUT}" \
+    || { echo "==> FAIL: cold build: ${BUILD_OUT}" >&2; exit 1; }
+  BUILD_OUT="$("${STORECLI}" build "${SMOKE_DIR}" taipei test 50)"
+  grep -qF '(0 computed, 50 already stored)' <<< "${BUILD_OUT}" \
+    || { echo "==> FAIL: warm build: ${BUILD_OUT}" >&2; exit 1; }
+
+  # Malformed numbers are usage errors (exit 2), not namespace 0.
+  echo "==> storecli: malformed namespace is a usage error"
+  DROP_RC=0
+  "${STORECLI}" sketch drop "${SMOKE_DIR}" zz 2> /dev/null || DROP_RC=$?
+  [[ "${DROP_RC}" == "2" ]] \
+    || { echo "==> FAIL: sketch drop zz exited ${DROP_RC}, want 2" >&2; exit 1; }
+
   echo "==> storecli: stats smoke on the warm store"
   "${STORECLI}" stats "${STORE_DIR}"
   ARTIFACT_DIR="${BUILD_DIR}/artifacts"
@@ -96,6 +115,17 @@ print("artifacts valid:", ", ".join(sys.argv[1:]))' \
     "${ARTIFACT_DIR}/query_report.json" \
     "${ARTIFACT_DIR}/query_trace.json" \
     "${ARTIFACT_DIR}/metrics_snapshot.json"
+
+  # A write that fails (here: a full device) must fail the command rather
+  # than leave a truncated artifact behind an exit 0. Gating.
+  echo "==> storecli: --metrics write failure exits nonzero"
+  if "${STORECLI}" query "${STORE_DIR}" taipei \
+      "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.1 AT CONFIDENCE 95%" \
+      --small-nn --train 6000 --held 6000 --test 12000 \
+      --metrics /dev/full > /dev/null 2>&1; then
+    echo "==> FAIL: query --metrics /dev/full exited 0" >&2
+    exit 1
+  fi
 
   # Serving-layer replay smoke: a three-client workload through the
   # multi-tenant admission queue (same warm store and NN config), with

@@ -1,6 +1,5 @@
 #include "core/catalog.h"
 
-#include "storage/persistent_cached_detector.h"
 #include "util/string_util.h"
 
 namespace blazeit {
@@ -48,16 +47,13 @@ Status VideoCatalog::AddStream(const StreamConfig& config, DayLengths lengths,
   data->test_day = std::move(test).value();
 
   data->detector_impl = std::make_unique<SimulatedDetector>(detector_noise);
+  data->detector = std::make_unique<CachedDetector>(data->detector_impl.get(),
+                                                    store_.get());
   if (store_ != nullptr) {
-    auto persistent = std::make_unique<PersistentCachedDetector>(
-        data->detector_impl.get(), store_.get());
     data->detection_store = store_.get();
-    data->test_detections_ns = persistent->StreamNamespace(*data->test_day);
-    data->detector = std::move(persistent);
+    data->test_detections_ns =
+        DetectionNamespace(*data->test_day, *data->detector_impl);
     data->artifact_cache = artifact_cache_.get();
-  } else {
-    data->detector = std::make_unique<CachedDetector>(
-        data->detector_impl.get());
   }
 
   data->train_labels = std::make_unique<LabeledSet>(

@@ -9,9 +9,9 @@
 #include "core/labeled_set.h"
 #include "detect/cached_detector.h"
 #include "detect/simulated_detector.h"
-#include "util/artifact_cache.h"
 #include "storage/detection_store.h"
 #include "storage/store_artifact_cache.h"
+#include "util/artifact_cache.h"
 #include "util/status.h"
 #include "video/datasets.h"
 #include "video/synthetic_video.h"
@@ -27,9 +27,8 @@ struct StreamData {
   std::unique_ptr<SyntheticVideo> held_out_day;
   std::unique_ptr<SyntheticVideo> test_day;
   std::unique_ptr<SimulatedDetector> detector_impl;
-  /// Memoizing wrapper over detector_impl: a process-local CachedDetector,
-  /// or a store-backed PersistentCachedDetector when the catalog has a
-  /// detection store enabled.
+  /// Memoizing CachedDetector over detector_impl, reading through the
+  /// catalog's detection store when one is enabled.
   std::unique_ptr<ObjectDetector> detector;
   std::unique_ptr<LabeledSet> train_labels;
   std::unique_ptr<LabeledSet> held_out_labels;

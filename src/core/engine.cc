@@ -4,11 +4,11 @@
 #include <numeric>
 #include <optional>
 
+#include "core/shared_sweep.h"
 #include "filters/calibration.h"
 #include "filters/label_filter.h"
 #include "frameql/parser.h"
 #include "net/http.h"
-#include "obs/counting_cache.h"
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
 #include "storage/segment_sketch.h"
@@ -121,8 +121,8 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
   }
   Result<PreparedQuery> prepared = Prepare(frameql, trace.get());
   Result<QueryOutput> result =
-      prepared.ok() ? ExecutePrepared(prepared.value(),
-                                      /*sweep_cache=*/nullptr, frameql, trace)
+      prepared.ok() ? ExecutePrepared(prepared.value(), /*view=*/nullptr,
+                                      /*batch_group=*/-1, frameql, trace)
                     : Result<QueryOutput>(prepared.status());
 
   // Flight-record the completed query (observe-only; outputs unchanged).
@@ -151,23 +151,24 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
 }
 
 Result<QueryOutput> BlazeItEngine::ExecutePrepared(
-    const PreparedQuery& prepared, ArtifactCache* sweep_cache,
+    const PreparedQuery& prepared, SweepCacheView* view, int64_t batch_group,
     const std::string& frameql, std::shared_ptr<obs::QueryTrace> trace) {
   StreamData* stream = prepared.stream;
   const AnalyzedQuery& query = prepared.query;
   std::shared_ptr<obs::ExecutionReport> report;
-  std::optional<obs::CountingCacheView> counting;
+  std::optional<SweepCacheView> standalone;
   if (options_.collect_reports) {
     report = std::make_shared<obs::ExecutionReport>();
     report->query = frameql;
+    report->batch_group = batch_group;
     if (trace == nullptr) trace = std::make_shared<obs::QueryTrace>(frameql);
-    // Count the query's artifact-cache traffic by wrapping whatever cache
+    // A standalone query counts its traffic through a view over the cache
     // the executors would have used (possibly none). Output-neutral: a
-    // cache hit is bit-identical to recomputation and the wrapper only
+    // cache hit is bit-identical to recomputation and the view only
     // observes, so results and simulated costs are unchanged.
-    counting.emplace(sweep_cache != nullptr ? sweep_cache
-                                            : stream->artifact_cache);
-    sweep_cache = &*counting;
+    if (view == nullptr) {
+      view = &standalone.emplace(/*shared=*/nullptr, stream->artifact_cache);
+    }
   }
 
   PlanChoice plan;
@@ -194,7 +195,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
             FrameWindow window,
             ResolveFrameWindow(query, stream->config.fps,
                                stream->test_day->num_frames()));
-        AggregationExecutor executor(stream, options_.aggregate, sweep_cache,
+        AggregationExecutor executor(stream, options_.aggregate, view,
                                      trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(
             AggregateResult agg,
@@ -219,8 +220,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
                                stream->test_day->num_frames()));
         ScrubOptions scrub_options = options_.scrub;
         scrub_options.use_store_index |= options_.use_store_index;
-        ScrubbingExecutor executor(stream, scrub_options, sweep_cache,
-                                   trace.get());
+        ScrubbingExecutor executor(stream, scrub_options, view, trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(
             ScrubResult scrub,
             executor.Run(query.requirements, query.limit, query.gap,
@@ -232,7 +232,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
       }
       case QueryKind::kSelection: {
         SelectionExecutor executor(stream, &udfs_, options_.selection,
-                                   sweep_cache, trace.get());
+                                   view, trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(SelectionResult sel, executor.Run(query));
         out.rows = std::move(sel.rows);
         for (const SelectionEvent& event : sel.events) {
@@ -243,7 +243,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
         return out;
       }
       case QueryKind::kBinarySelect:
-        return ExecuteBinarySelect(stream, query, sweep_cache, trace.get());
+        return ExecuteBinarySelect(stream, query, view, trace.get());
       case QueryKind::kExhaustive:
         return ExecuteFullScan(stream, query, trace.get(), report.get());
     }
@@ -256,7 +256,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     report->plan = PlanKindName(result.plan);
     report->plan_description = result.plan_description;
     report->FillCost(result.cost);
-    report->cache = counting->stats();
+    report->cache = view->stats();
     report->trace = trace;
     result.report = std::move(report);
   }

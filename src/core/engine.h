@@ -17,6 +17,8 @@
 
 namespace blazeit {
 
+class SweepCacheView;
+
 /// Per-query execution options forwarded to the executors.
 struct EngineOptions {
   AggregateOptions aggregate;
@@ -34,8 +36,8 @@ struct EngineOptions {
   /// Attach an obs::ExecutionReport (plan, stage trace, simulated-cost
   /// breakdown, cache/sketch hit rates) to every QueryOutput. Reporting
   /// only observes: query outputs and simulated costs are bit-identical
-  /// with it on or off. Off by default — the per-frame cache-counting
-  /// wrapper and span bookkeeping cost a little wall-clock.
+  /// with it on or off. Off by default — the per-frame cache counting and
+  /// span bookkeeping cost a little wall-clock.
   bool collect_reports = false;
   /// Register "engine" and "storage" sections with the process-wide
   /// obs::StatusRegistry (rendered by the debug server's /statusz) for
@@ -60,8 +62,7 @@ struct QueryOutput {
   /// The optimizer's plan description.
   std::string plan_description;
   /// EXPLAIN-style report (null unless EngineOptions::collect_reports).
-  /// Shared so the admission queue can fill in group/sharing fields after
-  /// the per-query run completes.
+  /// Shared so outputs stay copyable.
   std::shared_ptr<obs::ExecutionReport> report;
 };
 
@@ -106,14 +107,18 @@ class BlazeItEngine {
                                 obs::QueryTrace* trace = nullptr);
 
   /// The back half of Execute: plan choice + dispatch of a prepared
-  /// query. `sweep_cache` overrides the stream's artifact cache for the
-  /// executors (nullptr = standalone execution; the admission queue passes
-  /// a SweepCacheView so a shared-plan group shares NN sweeps); `frameql`
-  /// and `trace` feed the ExecutionReport when options().collect_reports is
-  /// on (trace is null otherwise). Output is bit-identical to Execute for
-  /// any cache, because every cache hit is bit-identical to recomputation.
+  /// query. `view` is the executors' artifact cache and `batch_group` the
+  /// query's shared-plan group when the admission queue runs it in a
+  /// window (so a group shares NN sweeps); standalone execution passes
+  /// nullptr and -1, and the executors read the stream's artifact cache —
+  /// through a view of this call's own when reports are on. `frameql` and
+  /// `trace` feed the ExecutionReport when options().collect_reports is on
+  /// (trace is null otherwise); its cache counts are the view's. Output is
+  /// bit-identical to Execute for any cache, because every cache hit is
+  /// bit-identical to recomputation.
   Result<QueryOutput> ExecutePrepared(const PreparedQuery& prepared,
-                                      ArtifactCache* sweep_cache,
+                                      SweepCacheView* view,
+                                      int64_t batch_group,
                                       const std::string& frameql,
                                       std::shared_ptr<obs::QueryTrace> trace);
 

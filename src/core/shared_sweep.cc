@@ -84,65 +84,72 @@ void SharedSweepCache::PutBlob(uint64_t ns, const std::vector<float>& v) {
 
 bool SweepCacheView::GetFrameFloats(uint64_t ns, int64_t frame,
                                     std::vector<float>* out) {
-  if (shared_->GetFloats(ns, frame, out)) {
-    ++shared_float_hits_;
+  bool hit = shared_ != nullptr && shared_->GetFloats(ns, frame, out);
+  if (hit) {
+    ++stats_.shared_nn_frames;
     SharedHits()->Add();
-    return true;
-  }
-  if (underlying_ != nullptr && underlying_->GetFrameFloats(ns, frame, out)) {
-    // Promote so later queries of the batch hit the memory tier; the
+  } else if (underlying_ != nullptr &&
+             underlying_->GetFrameFloats(ns, frame, out)) {
+    hit = true;
+    // Promote so later queries of the window hit the memory tier; the
     // persistent value is bit-identical to recomputation by contract.
-    shared_->PutFloats(ns, frame, *out);
-    SharedPromotions()->Add();
-    return true;
+    if (shared_ != nullptr) {
+      shared_->PutFloats(ns, frame, *out);
+      SharedPromotions()->Add();
+    }
   }
-  return false;
+  ++(hit ? stats_.frame_float_hits : stats_.frame_float_misses);
+  return hit;
 }
 
 void SweepCacheView::PutFrameFloats(uint64_t ns, int64_t frame,
                                     const std::vector<float>& values) {
-  shared_->PutFloats(ns, frame, values);
+  if (shared_ != nullptr) shared_->PutFloats(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameFloats(ns, frame, values);
 }
 
 bool SweepCacheView::GetFrameDoubles(uint64_t ns, int64_t frame,
                                      std::vector<double>* out) {
-  if (shared_->GetDoubles(ns, frame, out)) {
-    ++shared_double_hits_;
+  bool hit = shared_ != nullptr && shared_->GetDoubles(ns, frame, out);
+  if (hit) {
+    ++stats_.shared_filter_frames;
     SharedHits()->Add();
-    return true;
+  } else if (underlying_ != nullptr &&
+             underlying_->GetFrameDoubles(ns, frame, out)) {
+    hit = true;
+    if (shared_ != nullptr) {
+      shared_->PutDoubles(ns, frame, *out);
+      SharedPromotions()->Add();
+    }
   }
-  if (underlying_ != nullptr &&
-      underlying_->GetFrameDoubles(ns, frame, out)) {
-    shared_->PutDoubles(ns, frame, *out);
-    SharedPromotions()->Add();
-    return true;
-  }
-  return false;
+  ++(hit ? stats_.frame_double_hits : stats_.frame_double_misses);
+  return hit;
 }
 
 void SweepCacheView::PutFrameDoubles(uint64_t ns, int64_t frame,
                                      const std::vector<double>& values) {
-  shared_->PutDoubles(ns, frame, values);
+  if (shared_ != nullptr) shared_->PutDoubles(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameDoubles(ns, frame, values);
 }
 
 bool SweepCacheView::GetBlob(uint64_t ns, std::vector<float>* out) {
-  if (shared_->GetBlob(ns, out)) {
-    ++shared_blob_hits_;
+  bool hit = shared_ != nullptr && shared_->GetBlob(ns, out);
+  if (hit) {
+    ++stats_.shared_models;
     SharedHits()->Add();
-    return true;
+  } else if (underlying_ != nullptr && underlying_->GetBlob(ns, out)) {
+    hit = true;
+    if (shared_ != nullptr) {
+      shared_->PutBlob(ns, *out);
+      SharedPromotions()->Add();
+    }
   }
-  if (underlying_ != nullptr && underlying_->GetBlob(ns, out)) {
-    shared_->PutBlob(ns, *out);
-    SharedPromotions()->Add();
-    return true;
-  }
-  return false;
+  ++(hit ? stats_.blob_hits : stats_.blob_misses);
+  return hit;
 }
 
 void SweepCacheView::PutBlob(uint64_t ns, const std::vector<float>& values) {
-  shared_->PutBlob(ns, values);
+  if (shared_ != nullptr) shared_->PutBlob(ns, values);
   if (underlying_ != nullptr) underlying_->PutBlob(ns, values);
 }
 

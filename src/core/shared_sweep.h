@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/report.h"
 #include "util/artifact_cache.h"
 #include "util/mutex.h"
 
@@ -29,9 +30,7 @@ namespace blazeit {
 /// Unbounded by design: the cache is scoped to one admission queue and
 /// holds full-day sweep rows for every (stream, NN, class) it has served
 /// — a few MB each. A long-lived queue over a varied query mix should be
-/// recycled periodically (or gain eviction when the ROADMAP's
-/// sharded-serving layer lands); the persistent store underneath loses
-/// nothing.
+/// recycled periodically; the persistent store underneath loses nothing.
 class SharedSweepCache {
  public:
   SharedSweepCache() = default;
@@ -78,29 +77,36 @@ class SharedSweepCache {
       BLAZEIT_GUARDED_BY(mu_);
 };
 
-/// One query's handle onto the batch's shared sweeps: an ArtifactCache
-/// that reads the shared tier first, then the stream's persistent cache
-/// (when the catalog has one), and promotes persistent hits into the
-/// shared tier so the rest of the batch stays in memory. Writes go to
-/// both tiers, so batching never loses persistence.
+/// One query's artifact cache: reads the shared tier first, then the
+/// stream's persistent cache, and promotes persistent hits into the shared
+/// tier so the rest of the window stays in memory. Writes go to both
+/// tiers, so batching never loses persistence. Either tier may be null:
+/// the admission queue passes its SharedSweepCache, a standalone query
+/// passes none, and with no persistent tier either (a catalog without a
+/// detection store) every Get is a miss and every Put a no-op — exactly
+/// cache-less execution.
 ///
-/// The view also counts how much of this query's NN work the *shared*
-/// tier absorbed — the per-query numbers behind serve::BatchQueryStats. A hit
-/// this view takes directly on the persistent tier is not counted (serial
-/// execution would have been served by it too); it is promoted, though,
-/// so a *later* query's consumption of the same row counts as shared.
-/// That keeps the stats independent of store temperature — a follower's
-/// dedup reads the same whether the leader computed the sweep or replayed
-/// it — matching the simulated cost model, which charges NN work
-/// regardless of cache state. The stats therefore measure "charged NN
-/// work served by the batch tier", not physical FLOPs avoided; on a warm
-/// store the physical savings are smaller (wall-clock shows those).
+/// The view counts the query's traffic into one obs::CacheStats — per-kind
+/// hits and misses over both tiers, and how much of its NN work the
+/// *shared* tier absorbed — which becomes the query's
+/// ExecutionReport::cache and the serve::BatchQueryStats sharing counts. A
+/// hit this view takes directly on the persistent tier is not counted as
+/// shared (serial execution would have been served by it too); it is
+/// promoted, though, so a *later* query's consumption of the same row
+/// counts as shared. That keeps the sharing counts independent of store
+/// temperature — a follower's dedup reads the same whether the leader
+/// computed the sweep or replayed it — matching the simulated cost model,
+/// which charges NN work regardless of cache state. They therefore
+/// measure "charged NN work served by the batch tier", not physical FLOPs
+/// avoided; on a warm store the physical savings are smaller (wall-clock
+/// shows those). Counting only observes: every hit is bit-identical to
+/// recomputation, so outputs and simulated costs never depend on it.
 ///
 /// Not thread-safe across queries: each executed query gets its own view
-/// (the underlying SharedSweepCache carries the locking).
+/// (the underlying caches carry their own locking).
 class SweepCacheView final : public ArtifactCache {
  public:
-  /// `underlying` may be nullptr (catalog without a detection store).
+  /// Either pointer may be null; neither is owned.
   SweepCacheView(SharedSweepCache* shared, ArtifactCache* underlying)
       : shared_(shared), underlying_(underlying) {}
 
@@ -115,22 +121,12 @@ class SweepCacheView final : public ArtifactCache {
   bool GetBlob(uint64_t ns, std::vector<float>* out) override;
   void PutBlob(uint64_t ns, const std::vector<float>& values) override;
 
-  /// Per-frame NN output rows this query read from the shared tier
-  /// (specialized-NN inference another query in the batch already paid
-  /// for).
-  int64_t shared_nn_frames() const { return shared_float_hits_; }
-  /// Per-frame filter scores served from the shared tier.
-  int64_t shared_filter_frames() const { return shared_double_hits_; }
-  /// Trained weight blobs served from the shared tier (0 or 1 per query:
-  /// each executor trains at most one specialized NN per run).
-  int64_t shared_models() const { return shared_blob_hits_; }
+  const obs::CacheStats& stats() const { return stats_; }
 
  private:
   SharedSweepCache* shared_;
   ArtifactCache* underlying_;
-  int64_t shared_float_hits_ = 0;
-  int64_t shared_double_hits_ = 0;
-  int64_t shared_blob_hits_ = 0;
+  obs::CacheStats stats_;
 };
 
 }  // namespace blazeit

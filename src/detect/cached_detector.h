@@ -1,6 +1,7 @@
 #ifndef BLAZEIT_DETECT_CACHED_DETECTOR_H_
 #define BLAZEIT_DETECT_CACHED_DETECTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -10,6 +11,8 @@
 #include "util/mutex.h"
 
 namespace blazeit {
+
+class DetectionStore;
 
 /// Composite cache key for memoized detections: the full stream-day
 /// fingerprint plus the frame. The pre-fix key hand-mixed (seed, frame)
@@ -32,31 +35,55 @@ struct DetectionCacheKeyHash {
   }
 };
 
-/// Memoizing wrapper around an ObjectDetector. The paper pre-computed all
-/// object detections once and replayed them when evaluating samplers
-/// (Section 10.2: "we ran the object detection method once and recorded
-/// the results"); this wrapper is the equivalent. Simulated cost is still
-/// charged per *logical* call by the executors, so caching affects
-/// wall-clock only, never the reported runtimes.
+/// Namespace the detections of `video` by `detector` live under in a
+/// DetectionStore: (stream-day fingerprint x detector fingerprint) — never
+/// the raw seed, so days of different streams can share one store — salted
+/// with the code epoch (the fingerprints identify the *inputs*, the epoch
+/// the implementation that turned them into detections).
+uint64_t DetectionNamespace(const SyntheticVideo& video,
+                            const ObjectDetector& detector);
+
+/// Memoizing read-through wrapper around an ObjectDetector. The paper
+/// pre-computed all object detections once and replayed them when
+/// evaluating samplers (Section 10.2: "we ran the object detection method
+/// once and recorded the results"); this wrapper is the equivalent. A
+/// frame is served from the in-memory map, then — when a DetectionStore
+/// is given — from the store, and only then computed by the inner
+/// detector (and written back to the store for the next process; a stored
+/// record that failed to decode is repaired in place by that write, see
+/// DetectionStore::GetDetections). Simulated cost is still charged per
+/// *logical* call by the executors, so caching affects wall-clock only,
+/// never the reported runtimes.
 ///
 /// Thread-safe: parallel frame scans (core/selection's predicate sweep)
 /// call Detect concurrently. The inner detector is deterministic per
 /// (video, frame), so a racing double-compute of the same frame inserts
-/// identical content; the map itself is mutex-guarded, with the inner
-/// compute outside the lock.
+/// identical content; the map itself is mutex-guarded, with the store
+/// read, inner compute and store write outside the lock (the store
+/// carries its own locking), and the store counters are atomic.
 class CachedDetector : public ObjectDetector {
  public:
-  /// Does not take ownership; `inner` must outlive this object.
-  explicit CachedDetector(const ObjectDetector* inner) : inner_(inner) {}
+  /// Neither pointer is owned; both must outlive this object. `store` may
+  /// be null (process-local memoization only).
+  explicit CachedDetector(const ObjectDetector* inner,
+                          DetectionStore* store = nullptr)
+      : inner_(inner), store_(store) {}
 
   std::vector<Detection> Detect(const SyntheticVideo& video,
                                 int64_t frame) const override;
 
-  std::string name() const override { return inner_->name() + "+cache"; }
+  std::string name() const override {
+    return inner_->name() + (store_ != nullptr ? "+store" : "+cache");
+  }
 
   uint64_t ParamsFingerprint() const override {
     return inner_->ParamsFingerprint();
   }
+
+  /// Memory-map misses served by the store, and those the store could not
+  /// serve (computed by the inner detector). Both stay 0 without a store.
+  int64_t store_hits() const { return store_hits_.load(); }
+  int64_t store_misses() const { return store_misses_.load(); }
 
   size_t cache_size() const BLAZEIT_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
@@ -69,10 +96,13 @@ class CachedDetector : public ObjectDetector {
 
  private:
   const ObjectDetector* inner_;
+  DetectionStore* store_;
   mutable util::Mutex mu_;
   mutable std::unordered_map<DetectionCacheKey, std::vector<Detection>,
                              DetectionCacheKeyHash>
       cache_ BLAZEIT_GUARDED_BY(mu_);
+  mutable std::atomic<int64_t> store_hits_{0};
+  mutable std::atomic<int64_t> store_misses_{0};
 };
 
 }  // namespace blazeit

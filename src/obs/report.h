@@ -5,12 +5,38 @@
 #include <memory>
 #include <string>
 
-#include "obs/counting_cache.h"
 #include "obs/trace.h"
 #include "sim/cost_model.h"
 
 namespace blazeit {
 namespace obs {
+
+/// Per-kind hit/miss counts of one query's artifact-cache traffic, plus
+/// how much of it the shared-sweep tier served (zero outside an admission
+/// window). Counted by the query's SweepCacheView.
+struct CacheStats {
+  int64_t frame_float_hits = 0;
+  int64_t frame_float_misses = 0;
+  int64_t frame_double_hits = 0;
+  int64_t frame_double_misses = 0;
+  int64_t blob_hits = 0;
+  int64_t blob_misses = 0;
+  /// Per-frame NN output rows read from the shared tier (specialized-NN
+  /// inference another query of the window already paid for).
+  int64_t shared_nn_frames = 0;
+  /// Per-frame filter scores served from the shared tier.
+  int64_t shared_filter_frames = 0;
+  /// Trained weight blobs served from the shared tier (0 or 1 per query:
+  /// each executor trains at most one specialized NN per run).
+  int64_t shared_models = 0;
+
+  int64_t hits() const {
+    return frame_float_hits + frame_double_hits + blob_hits;
+  }
+  int64_t misses() const {
+    return frame_float_misses + frame_double_misses + blob_misses;
+  }
+};
 
 /// Sketch-index activity of one query (full scans, count-distinct, and
 /// scrubbing consult the index; other plans leave this default).

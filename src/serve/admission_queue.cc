@@ -403,21 +403,14 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
           const PendingEntry& entry = batch[idx];
           SweepCacheView view(&sweeps_, entry.prepared->stream->artifact_cache);
           Result<QueryOutput> result = engine_->ExecutePrepared(
-              *entry.prepared, &view, entry.frameql, entry.trace);
+              *entry.prepared, &view, g, entry.frameql, entry.trace);
           ServeResponse& resp = responses[idx];
           if (result.ok()) {
             BatchQueryStats& qs = query_stats[idx].emplace();
             qs.group = g;
-            qs.shared_nn_frames = view.shared_nn_frames();
-            qs.shared_filter_frames = view.shared_filter_frames();
-            qs.shared_models = view.shared_models();
-            if (result.value().report != nullptr) {
-              obs::ExecutionReport& report = *result.value().report;
-              report.batch_group = g;
-              report.cache.shared_nn_frames = qs.shared_nn_frames;
-              report.cache.shared_filter_frames = qs.shared_filter_frames;
-              report.cache.shared_models = qs.shared_models;
-            }
+            qs.shared_nn_frames = view.stats().shared_nn_frames;
+            qs.shared_filter_frames = view.stats().shared_filter_frames;
+            qs.shared_models = view.stats().shared_models;
             const CostMeter& cost = result.value().cost;
             qs.standalone_seconds = cost.TotalSeconds();
             double saved = static_cast<double>(qs.shared_nn_frames) *

@@ -389,14 +389,16 @@ Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
 Status DetectionStore::PutRaw(uint64_t ns, int64_t frame,
                               std::string payload) {
   util::WriterLock lock(mu_);
+  // A typed Get found this record unreadable: the caller's recomputed
+  // payload replaces it in place (first-write-wins would keep the bad copy
+  // winning, and every later run would fail on it again).
+  if (malformed_.erase({ns, frame}) > 0) {
+    return RepairLocked(ns, frame, payload);
+  }
   Shard& shard = shards_[ns];
   // First write wins: records are deterministic per (namespace, frame), so
   // a duplicate Put is a repeat of known content, and keeping the indexed
-  // copy stable avoids rewriting it into the next segment. Consequence: a
-  // CRC-valid record whose payload a reader rejects as malformed (only
-  // reachable via a key collision or a writer bug) is not repaired by
-  // re-Putting — callers recompute and warn each run until the store is
-  // rebuilt (see the ROADMAP compaction item).
+  // copy stable avoids rewriting it into the next segment.
   if (shard.disk_index.count(frame) > 0) return Status::OK();
   auto [it, inserted] = shard.pending.emplace(frame, std::move(payload));
   (void)it;
@@ -404,11 +406,28 @@ Status DetectionStore::PutRaw(uint64_t ns, int64_t frame,
   return Status::OK();
 }
 
+template <typename T>
+Result<T> DetectionStore::GetDecoded(uint64_t ns, int64_t frame,
+                                     Result<T> (*decode)(const std::string&)) {
+  auto payload = GetRaw(ns, frame);
+  Result<T> value = payload.ok() ? decode(payload.value())
+                                 : Result<T>(payload.status());
+  if (value.ok() || value.status().code() == StatusCode::kNotFound) {
+    return value;
+  }
+  BLAZEIT_LOG(kWarning) << StrFormat(
+      "store record %016llx/%lld is unreadable, the next Put of it repairs "
+      "it in place: %s",
+      static_cast<unsigned long long>(ns), static_cast<long long>(frame),
+      value.status().ToString().c_str());
+  util::WriterLock lock(mu_);
+  malformed_.emplace(ns, frame);
+  return value;
+}
+
 Result<std::vector<Detection>> DetectionStore::GetDetections(uint64_t ns,
                                                              int64_t frame) {
-  auto payload = GetRaw(ns, frame);
-  if (!payload.ok()) return payload.status();
-  return DecodeDetectionsPayload(payload.value());
+  return GetDecoded(ns, frame, &DecodeDetectionsPayload);
 }
 
 Status DetectionStore::PutDetections(
@@ -418,9 +437,7 @@ Status DetectionStore::PutDetections(
 
 Result<std::vector<float>> DetectionStore::GetFloats(uint64_t ns,
                                                      int64_t frame) {
-  auto payload = GetRaw(ns, frame);
-  if (!payload.ok()) return payload.status();
-  return DecodeFloatsPayload(payload.value());
+  return GetDecoded(ns, frame, &DecodeFloatsPayload);
 }
 
 Status DetectionStore::PutFloats(uint64_t ns, int64_t frame,
@@ -430,9 +447,7 @@ Status DetectionStore::PutFloats(uint64_t ns, int64_t frame,
 
 Result<std::vector<double>> DetectionStore::GetDoubles(uint64_t ns,
                                                        int64_t frame) {
-  auto payload = GetRaw(ns, frame);
-  if (!payload.ok()) return payload.status();
-  return DecodeDoublesPayload(payload.value());
+  return GetDecoded(ns, frame, &DecodeDoublesPayload);
 }
 
 Status DetectionStore::PutDoubles(uint64_t ns, int64_t frame,
@@ -899,6 +914,11 @@ Result<std::vector<DetectionStore::SketchInfo>> DetectionStore::ListSketches() {
 Status DetectionStore::Repair(uint64_t ns, int64_t frame,
                               const std::string& payload) {
   util::WriterLock lock(mu_);
+  return RepairLocked(ns, frame, payload);
+}
+
+Status DetectionStore::RepairLocked(uint64_t ns, int64_t frame,
+                                    const std::string& payload) {
   static obs::Counter* repairs = obs::MetricsRegistry::Global().GetCounter(
       "store.record_repairs", obs::Stability::kStable);
   repairs->Add();

@@ -6,8 +6,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "detect/detection.h"
@@ -146,9 +148,15 @@ class DetectionStore {
 
   /// Raw payload access; NotFound when the record is absent.
   Result<std::string> GetRaw(uint64_t ns, int64_t frame);
+  /// First write wins, except for a key a typed Get found unreadable: that
+  /// Put replaces the record in place through Repair.
   Status PutRaw(uint64_t ns, int64_t frame, std::string payload);
 
-  /// Typed wrappers for the two payload codecs.
+  /// Typed wrappers for the payload codecs — the read-through caches' path.
+  /// A record that exists but fails to read or decode (a CRC-valid record
+  /// from a writer bug or key collision) is logged and remembered, so the
+  /// caller's recompute-and-Put of that key repairs it in place instead of
+  /// losing to first-write-wins and failing again on every run.
   Result<std::vector<Detection>> GetDetections(uint64_t ns, int64_t frame);
   Status PutDetections(uint64_t ns, int64_t frame,
                        const std::vector<Detection>& detections);
@@ -197,7 +205,8 @@ class DetectionStore {
   /// absent record is a plain Put. The rewrite also heals the rest of the
   /// namespace in the same pass: any other record no engine codec decodes
   /// is dropped (logged) rather than copied, so mass corruption costs one
-  /// rewrite, not one per poisoned record read.
+  /// rewrite, not one per poisoned record read. PutRaw runs this for a key
+  /// a typed Get found unreadable.
   Status Repair(uint64_t ns, int64_t frame, const std::string& payload);
 
   /// What the store-wide Repair() scan did (storecli repair prints this).
@@ -253,9 +262,9 @@ class DetectionStore {
   /// record (which keeps winning by segment-name order), a *dropped*
   /// record can resurrect if a crash or failed unlink strands the old
   /// segment — rerunning repair drops it again, and the in-process
-  /// repair path (PersistentCachedDetector / StoreArtifactCache calling
-  /// the targeted Repair above) heals either way as soon as the record
-  /// is next read.
+  /// repair path (a typed Get remembering the record, the next Put of it
+  /// running the targeted Repair above) heals either way as soon as the
+  /// record is next read.
   Result<RepairStats> Repair();
 
   /// Per-namespace inventory for `storecli stats`: resolved record count
@@ -315,6 +324,16 @@ class DetectionStore {
   };
 
   explicit DetectionStore(std::string dir) : dir_(std::move(dir)) {}
+
+  /// Shared body of the typed Gets: GetRaw, then `decode`; a failure other
+  /// than NotFound marks the key in malformed_.
+  template <typename T>
+  Result<T> GetDecoded(uint64_t ns, int64_t frame,
+                       Result<T> (*decode)(const std::string&))
+      BLAZEIT_EXCLUDES(mu_);
+  /// The targeted Repair's body; caller holds mu_ exclusively.
+  Status RepairLocked(uint64_t ns, int64_t frame, const std::string& payload)
+      BLAZEIT_REQUIRES(mu_);
 
   std::string NewSegmentPath(uint64_t ns) const;
   /// Names a repair segment so it sorts before every regular segment of
@@ -379,6 +398,9 @@ class DetectionStore {
   std::map<uint64_t, Shard> shards_ BLAZEIT_GUARDED_BY(mu_);
   int64_t pending_records_ BLAZEIT_GUARDED_BY(mu_) = 0;
   uint64_t flush_counter_ BLAZEIT_GUARDED_BY(mu_) = 0;
+  /// (namespace, frame) keys a typed Get found unreadable; the next PutRaw
+  /// of one consumes it and repairs the record in place.
+  std::set<std::pair<uint64_t, int64_t>> malformed_ BLAZEIT_GUARDED_BY(mu_);
 };
 
 }  // namespace blazeit

@@ -1,16 +1,11 @@
 #include "storage/store_artifact_cache.h"
 
 #include "obs/metrics.h"
-#include "storage/record_format.h"
 #include "util/logging.h"
 
 namespace blazeit {
 
 namespace {
-
-void WarnOnce(const char* what, const Status& status) {
-  BLAZEIT_LOG(kWarning) << what << ": " << status.ToString();
-}
 
 /// Callers' namespaces fingerprint the *inputs*; salt in the code epoch so
 /// artifacts computed by older implementations are never replayed.
@@ -30,87 +25,47 @@ obs::Counter* TierMisses() {
   return c;
 }
 
-}  // namespace
-
-void StoreArtifactCache::MarkCorrupt(uint64_t salted_ns, int64_t frame) {
-  util::MutexLock lock(corrupt_mu_);
-  corrupt_.emplace(salted_ns, frame);
+void WarnIfFailed(const Status& status) {
+  if (!status.ok()) {
+    BLAZEIT_LOG(kWarning) << "artifact cache write failed: "
+                          << status.ToString();
+  }
 }
 
-bool StoreArtifactCache::ConsumeCorrupt(uint64_t salted_ns, int64_t frame) {
-  util::MutexLock lock(corrupt_mu_);
-  return corrupt_.erase({salted_ns, frame}) > 0;
+}  // namespace
+
+template <typename T>
+bool StoreArtifactCache::CountGet(Result<std::vector<T>> values,
+                                  std::vector<T>* out) {
+  if (!values.ok()) {
+    ++misses_;
+    TierMisses()->Add();
+    return false;
+  }
+  ++hits_;
+  TierHits()->Add();
+  *out = std::move(values).value();
+  return true;
 }
 
 bool StoreArtifactCache::GetFrameFloats(uint64_t ns, int64_t frame,
                                         std::vector<float>* out) {
-  const uint64_t salted = Salted(ns);
-  auto values = store_->GetFloats(salted, frame);
-  if (!values.ok()) {
-    if (values.status().code() != StatusCode::kNotFound) {
-      // Corrupt record behind a valid CRC: remember it so the caller's
-      // recompute-and-Put repairs it in place instead of silently losing
-      // to first-write-wins (and re-warning every run).
-      WarnOnce("artifact cache read failed, recomputing", values.status());
-      MarkCorrupt(salted, frame);
-    }
-    ++misses_;
-    TierMisses()->Add();
-    return false;
-  }
-  ++hits_;
-  TierHits()->Add();
-  *out = std::move(values).value();
-  return true;
-}
-
-void StoreArtifactCache::RepairOrPut(uint64_t salted_ns, int64_t frame,
-                                     std::string payload, const char* kind) {
-  Status st;
-  if (ConsumeCorrupt(salted_ns, frame)) {
-    st = store_->Repair(salted_ns, frame, payload);
-    if (st.ok()) {
-      ++repairs_;
-      static obs::Counter* repairs = obs::MetricsRegistry::Global().GetCounter(
-          "cache.repairs{tier=persistent}", obs::Stability::kStable);
-      repairs->Add();
-      BLAZEIT_LOG(kWarning) << "artifact cache repaired corrupt record in "
-                               "place ("
-                            << kind << ", frame " << frame << ")";
-    }
-  } else {
-    st = store_->PutRaw(salted_ns, frame, std::move(payload));
-  }
-  if (!st.ok()) WarnOnce("artifact cache write failed", st);
+  return CountGet(store_->GetFloats(Salted(ns), frame), out);
 }
 
 void StoreArtifactCache::PutFrameFloats(uint64_t ns, int64_t frame,
                                         const std::vector<float>& values) {
-  RepairOrPut(Salted(ns), frame, EncodeFloatsPayload(values), "floats");
+  WarnIfFailed(store_->PutFloats(Salted(ns), frame, values));
 }
 
 bool StoreArtifactCache::GetFrameDoubles(uint64_t ns, int64_t frame,
                                          std::vector<double>* out) {
-  const uint64_t salted = Salted(ns);
-  auto values = store_->GetDoubles(salted, frame);
-  if (!values.ok()) {
-    if (values.status().code() != StatusCode::kNotFound) {
-      WarnOnce("artifact cache read failed, recomputing", values.status());
-      MarkCorrupt(salted, frame);
-    }
-    ++misses_;
-    TierMisses()->Add();
-    return false;
-  }
-  ++hits_;
-  TierHits()->Add();
-  *out = std::move(values).value();
-  return true;
+  return CountGet(store_->GetDoubles(Salted(ns), frame), out);
 }
 
 void StoreArtifactCache::PutFrameDoubles(uint64_t ns, int64_t frame,
                                          const std::vector<double>& values) {
-  RepairOrPut(Salted(ns), frame, EncodeDoublesPayload(values), "doubles");
+  WarnIfFailed(store_->PutDoubles(Salted(ns), frame, values));
 }
 
 bool StoreArtifactCache::GetBlob(uint64_t ns, std::vector<float>* out) {

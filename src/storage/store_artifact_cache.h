@@ -3,13 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "storage/detection_store.h"
 #include "util/artifact_cache.h"
-#include "util/mutex.h"
 
 namespace blazeit {
 
@@ -18,14 +15,12 @@ namespace blazeit {
 /// the same versioned, CRC-checked segment format as detections. Blobs use
 /// a sentinel frame id (no real frame is negative).
 ///
-/// Thread-safe for concurrent Get/Put: the store carries its own locks,
-/// the hit/miss counters are atomic, and the corrupt-record bookkeeping
-/// is mutex-guarded.
+/// Thread-safe for concurrent Get/Put: the store carries its own locks and
+/// the hit/miss counters are atomic.
 ///
-/// Self-healing: a record that exists but fails to decode (CRC-valid yet
-/// semantically malformed) is remembered, and the caller's subsequent Put
-/// of the recomputed value is routed through DetectionStore::Repair so
-/// the bad record is replaced in place instead of warning on every run.
+/// Self-healing through the store: a record that exists but fails to
+/// decode is a miss here, and the caller's Put of the recomputed value
+/// repairs it in place (see the typed Gets of DetectionStore).
 class StoreArtifactCache : public ArtifactCache {
  public:
   /// Not owned; must outlive this object.
@@ -45,30 +40,16 @@ class StoreArtifactCache : public ArtifactCache {
   int64_t hits() const { return hits_.load(); }
   int64_t misses() const { return misses_.load(); }
 
-  /// Records whose stored payload failed to decode and were repaired in
-  /// place by a later Put (diagnostics + tests).
-  int64_t repairs() const { return repairs_.load(); }
-
  private:
   static constexpr int64_t kBlobFrame = -1;
 
-  /// Marks (salted ns, frame) as corrupt-on-disk / consumes the mark.
-  void MarkCorrupt(uint64_t salted_ns, int64_t frame)
-      BLAZEIT_EXCLUDES(corrupt_mu_);
-  bool ConsumeCorrupt(uint64_t salted_ns, int64_t frame)
-      BLAZEIT_EXCLUDES(corrupt_mu_);
-  /// Shared write path: repairs the record in place when it was marked
-  /// corrupt by an earlier failed read, plain-puts otherwise. `kind` only
-  /// labels the log line.
-  void RepairOrPut(uint64_t salted_ns, int64_t frame, std::string payload,
-                   const char* kind);
+  /// Counts one Get and, on a hit, moves the value into `out`.
+  template <typename T>
+  bool CountGet(Result<std::vector<T>> values, std::vector<T>* out);
 
   DetectionStore* store_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> repairs_{0};
-  util::Mutex corrupt_mu_;
-  std::set<std::pair<uint64_t, int64_t>> corrupt_ BLAZEIT_GUARDED_BY(corrupt_mu_);
 };
 
 }  // namespace blazeit

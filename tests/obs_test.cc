@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/counting_cache.h"
+#include "core/shared_sweep.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/report.h"
@@ -228,7 +228,7 @@ TEST(TraceTest, ChromeJsonValidatesAndHasCompleteEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// CountingCacheView
+// SweepCacheView counting (the view behind ExecutionReport::cache)
 
 /// Map-backed ArtifactCache for exercising the hit paths.
 class MapCache final : public ArtifactCache {
@@ -271,8 +271,8 @@ class MapCache final : public ArtifactCache {
   std::map<uint64_t, std::vector<float>> blobs_;
 };
 
-TEST(CountingCacheTest, NullUnderlyingCountsMissesAndDropsPuts) {
-  CountingCacheView view(nullptr);
+TEST(SweepCacheViewCountingTest, NullUnderlyingCountsMissesAndDropsPuts) {
+  SweepCacheView view(/*shared=*/nullptr, /*underlying=*/nullptr);
   std::vector<float> floats;
   std::vector<double> doubles;
   EXPECT_FALSE(view.GetFrameFloats(1, 0, &floats));
@@ -289,9 +289,9 @@ TEST(CountingCacheTest, NullUnderlyingCountsMissesAndDropsPuts) {
   EXPECT_EQ(view.stats().blob_misses, 1);
 }
 
-TEST(CountingCacheTest, CountsPerKindHitsThroughUnderlyingCache) {
+TEST(SweepCacheViewCountingTest, CountsPerKindHitsThroughUnderlyingCache) {
   MapCache cache;
-  CountingCacheView view(&cache);
+  SweepCacheView view(/*shared=*/nullptr, &cache);
   std::vector<float> floats;
   std::vector<double> doubles;
   EXPECT_FALSE(view.GetBlob(7, &floats));  // cold miss
@@ -305,6 +305,35 @@ TEST(CountingCacheTest, CountsPerKindHitsThroughUnderlyingCache) {
   EXPECT_EQ(view.stats().frame_double_hits, 1);
   EXPECT_EQ(view.stats().hits(), 2);
   EXPECT_EQ(view.stats().misses(), 1);
+  // No shared tier, so nothing counts as shared.
+  EXPECT_EQ(view.stats().shared_models, 0);
+  EXPECT_EQ(view.stats().shared_filter_frames, 0);
+}
+
+TEST(SweepCacheViewCountingTest, SharedTierHitsCountAsSharedAndPerKind) {
+  SharedSweepCache shared;
+  MapCache persistent;
+  persistent.PutBlob(7, {1.0f});
+  std::vector<float> floats;
+  {
+    // The leader's blob comes from the persistent tier: a per-kind hit,
+    // not a shared one, promoted so the follower finds it in memory.
+    SweepCacheView leader(&shared, &persistent);
+    EXPECT_TRUE(leader.GetBlob(7, &floats));
+    leader.PutFrameFloats(7, 0, {2.0f});
+    EXPECT_EQ(leader.stats().blob_hits, 1);
+    EXPECT_EQ(leader.stats().shared_models, 0);
+  }
+  SweepCacheView follower(&shared, /*underlying=*/nullptr);
+  EXPECT_TRUE(follower.GetBlob(7, &floats));
+  EXPECT_TRUE(follower.GetFrameFloats(7, 0, &floats));
+  EXPECT_EQ(floats, std::vector<float>{2.0f});
+  EXPECT_FALSE(follower.GetFrameFloats(7, 1, &floats));
+  EXPECT_EQ(follower.stats().shared_models, 1);
+  EXPECT_EQ(follower.stats().shared_nn_frames, 1);
+  EXPECT_EQ(follower.stats().blob_hits, 1);
+  EXPECT_EQ(follower.stats().frame_float_hits, 1);
+  EXPECT_EQ(follower.stats().frame_float_misses, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@
 // slot (not the Submit result), load shedding downgrading aggregates and
 // scrubbing to the paper's cheap baselines with the downgrade disclosed
 // in the ExecutionReport's accuracy_tier (the shed scan pinned to an
-// independent ascending walk), and cross-client coalescing surfacing in
-// ServerStats. Everything here avoids NN training (naive selections,
-// exhaustive scans, shed baselines) so the suite stays in the fast lane;
-// the bit-identity sweep across pool sizes lives in
-// serve_determinism_test.cc.
+// independent ascending walk), cross-client coalescing surfacing in
+// ServerStats, and report cache stats matching the window's sharing.
+// Everything else here avoids NN training (naive selections, exhaustive
+// scans, shed baselines); that one aggregate trains the small NN on the
+// fixture's short days, so the suite stays in the fast lane. The
+// bit-identity sweep across pool sizes lives in serve_determinism_test.cc.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -323,6 +324,46 @@ TEST_F(ServeTest, CrossClientCoalescingSurfacesInStats) {
   EXPECT_EQ(stats.coalesced_queries, 2);
   EXPECT_EQ(stats.cross_client_groups, 1);
   EXPECT_GE(stats.standalone_seconds, stats.batch_seconds);
+}
+
+TEST_F(ServeTest, ReportCacheStatsMatchStandaloneAndWindowSharing) {
+  // Standalone: the query counts its traffic through a view of its own,
+  // with no shared tier behind it.
+  auto standalone = engine_->Execute(kAggregate);
+  BLAZEIT_ASSERT_OK(standalone);
+  ASSERT_NE(standalone.value().report, nullptr);
+  const obs::CacheStats& solo = standalone.value().report->cache;
+  EXPECT_EQ(solo.shared_nn_frames, 0);
+  EXPECT_EQ(solo.shared_filter_frames, 0);
+  EXPECT_EQ(solo.shared_models, 0);
+  EXPECT_GT(solo.hits() + solo.misses(), 0);
+
+  // Two clients in one same-plan window: the follower reads the leader's
+  // trained model from the window's shared tier, and each report's shared
+  // counts are exactly the response's sharing stats.
+  ServeOptions options;
+  options.window_ticks = 100;
+  AdmissionQueue queue(engine_, options);
+  auto leader = queue.Submit("alice", kAggregate);
+  auto follower = queue.Submit("bob", kAggregate);
+  BLAZEIT_ASSERT_OK(leader);
+  BLAZEIT_ASSERT_OK(follower);
+  queue.Drain();
+  std::vector<ServeResponse> completed = queue.TakeCompleted();
+  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(queue.stats().groups, 1);
+  for (const ServeResponse& resp : completed) {
+    BLAZEIT_ASSERT_OK(resp.output);
+    ASSERT_NE(resp.output.value().report, nullptr);
+    const obs::CacheStats& cache = resp.output.value().report->cache;
+    EXPECT_EQ(cache.shared_nn_frames, resp.stats.shared_nn_frames);
+    EXPECT_EQ(cache.shared_filter_frames, resp.stats.shared_filter_frames);
+    EXPECT_EQ(cache.shared_models, resp.stats.shared_models);
+    if (resp.ticket == follower.value()) {
+      EXPECT_EQ(cache.shared_models, 1);
+      EXPECT_GE(cache.blob_hits, 1);
+    }
+  }
 }
 
 TEST_F(ServeTest, TicketsAreMonotonicAndResponsesCarryMetadata) {

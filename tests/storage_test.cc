@@ -1,7 +1,7 @@
 // src/storage/ coverage: byte-exact round trips through the versioned
 // segment format, distinct rejection Statuses for every corruption mode
 // (truncation, bad magic, version skew, checksum failure, stale rename),
-// and read/write-through behaviour of PersistentCachedDetector.
+// and read/write-through behaviour of the store-backed CachedDetector.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,12 +9,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "detect/cached_detector.h"
 #include "detect/simulated_detector.h"
 #include "obs/metrics.h"
 #include "storage/detection_store.h"
-#include "storage/persistent_cached_detector.h"
 #include "storage/record_format.h"
 #include "storage/segment_sketch.h"
 #include "storage/store_artifact_cache.h"
@@ -320,7 +321,7 @@ TEST_F(CorruptionTest, TempFilesIgnored) {
   EXPECT_EQ(reopened.value()->TotalRecords(), 20);
 }
 
-// --- PersistentCachedDetector ---
+// --- Store-backed CachedDetector ---
 
 /// Wrapper that counts how often the inner detector actually runs.
 class CountingDetector : public ObjectDetector {
@@ -350,7 +351,7 @@ TEST_F(StorageTest, PersistentDetectorReadsThroughWarmStore) {
     auto store = DetectionStore::Open(dir_);
     BLAZEIT_ASSERT_OK(store);
     CountingDetector counting(&inner);
-    PersistentCachedDetector detector(&counting, store.value().get());
+    CachedDetector detector(&counting, store.value().get());
     for (int64_t t = 0; t < 50; ++t) {
       cold_results.push_back(detector.Detect(*video, t));
     }
@@ -362,7 +363,7 @@ TEST_F(StorageTest, PersistentDetectorReadsThroughWarmStore) {
     auto store = DetectionStore::Open(dir_);
     BLAZEIT_ASSERT_OK(store);
     CountingDetector counting(&inner);
-    PersistentCachedDetector detector(&counting, store.value().get());
+    CachedDetector detector(&counting, store.value().get());
     for (int64_t t = 0; t < 50; ++t) {
       auto warm = detector.Detect(*video, t);
       ExpectSameDetections(warm, cold_results[static_cast<size_t>(t)]);
@@ -381,9 +382,9 @@ TEST_F(StorageTest, PersistentDetectorKeysBySceneNotSeed) {
   SimulatedDetector inner;
   auto store = DetectionStore::Open(dir_);
   BLAZEIT_ASSERT_OK(store);
-  PersistentCachedDetector detector(&inner, store.value().get());
-  EXPECT_NE(detector.StreamNamespace(*taipei),
-            detector.StreamNamespace(*rialto));
+  CachedDetector detector(&inner, store.value().get());
+  EXPECT_NE(DetectionNamespace(*taipei, detector),
+            DetectionNamespace(*rialto, detector));
   for (int64_t t = 0; t < 20; ++t) {
     ExpectSameDetections(detector.Detect(*taipei, t),
                          inner.Detect(*taipei, t));
@@ -634,8 +635,8 @@ TEST_F(StorageTest, PersistentDetectorRepairsCorruptRecordInPlace) {
   {
     auto store = DetectionStore::Open(dir_);
     BLAZEIT_ASSERT_OK(store.status());
-    PersistentCachedDetector detector(&inner, store.value().get());
-    ns = detector.StreamNamespace(*video.value());
+    CachedDetector detector(&inner, store.value().get());
+    ns = DetectionNamespace(*video.value(), detector);
     // Poison frame 3 before the detector ever writes it: CRC-valid, but
     // not a decodable detections payload.
     BLAZEIT_ASSERT_OK(store.value()->PutRaw(ns, 3, "garbage!"));
@@ -647,7 +648,7 @@ TEST_F(StorageTest, PersistentDetectorRepairsCorruptRecordInPlace) {
     auto store = DetectionStore::Open(dir_);
     BLAZEIT_ASSERT_OK(store.status());
     EXPECT_FALSE(store.value()->GetDetections(ns, 3).ok());
-    PersistentCachedDetector detector(&inner, store.value().get());
+    CachedDetector detector(&inner, store.value().get());
     // Decode fails -> recompute -> Repair in place (not a shadowed Put).
     recomputed = detector.Detect(*video.value(), 3);
     EXPECT_EQ(detector.store_misses(), 1);
@@ -667,10 +668,71 @@ TEST_F(StorageTest, PersistentDetectorRepairsCorruptRecordInPlace) {
     EXPECT_EQ(healed.value()[i].class_id, recomputed[i].class_id);
     EXPECT_EQ(healed.value()[i].score, recomputed[i].score);
   }
-  PersistentCachedDetector detector(&inner, store.value().get());
+  CachedDetector detector(&inner, store.value().get());
   (void)detector.Detect(*video.value(), 3);
   EXPECT_EQ(detector.store_hits(), 1);
   EXPECT_EQ(detector.store_misses(), 0);
+}
+
+TEST_F(StorageTest, StoreBackedDetectorHealsPoisonedRecordUnderConcurrency) {
+  // Parallel frame scans and concurrent serve groups call one store-backed
+  // detector from several threads. Frame 9 is poisoned in a repair-named
+  // segment — the kind that sorts first, so a plain first-write-wins Put
+  // could never shadow it — and eight threads then read all 64 frames.
+  constexpr int64_t kFrames = 64;
+  constexpr int kThreads = 8;
+  auto video = SyntheticVideo::Create(TaipeiConfig(), 11, kFrames);
+  BLAZEIT_ASSERT_OK(video.status());
+  SimulatedDetector inner;
+  auto store = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(store.status());
+  const uint64_t ns = DetectionNamespace(*video.value(), inner);
+  {
+    CachedDetector writer(&inner, store.value().get());
+    for (int64_t t = 0; t < kFrames; ++t) {
+      (void)writer.Detect(*video.value(), t);
+    }
+  }
+  BLAZEIT_ASSERT_OK(store.value()->Flush());
+  BLAZEIT_ASSERT_OK(store.value()->Repair(ns, 9, "garbage!"));
+  EXPECT_NE(OnlySegmentPath().find("-0repair-"), std::string::npos);
+  // GetRaw + decode, not GetDetections: a typed Get here would already
+  // mark the key for repair.
+  auto poisoned = store.value()->GetRaw(ns, 9);
+  BLAZEIT_ASSERT_OK(poisoned.status());
+  EXPECT_FALSE(DecodeDetectionsPayload(poisoned.value()).ok());
+
+  CachedDetector detector(&inner, store.value().get());
+  std::vector<std::vector<std::vector<Detection>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int64_t t = 0; t < kFrames; ++t) {
+        results[w].push_back(detector.Detect(*video.value(), t));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int w = 0; w < kThreads; ++w) {
+    ASSERT_EQ(results[w].size(), static_cast<size_t>(kFrames));
+    for (int64_t t = 0; t < kFrames; ++t) {
+      ExpectSameDetections(results[w][static_cast<size_t>(t)],
+                           inner.Detect(*video.value(), t));
+    }
+  }
+  EXPECT_GE(detector.store_misses(), 1);
+
+  const std::vector<Detection> expected = inner.Detect(*video.value(), 9);
+  auto healed = store.value()->GetDetections(ns, 9);
+  BLAZEIT_ASSERT_OK(healed.status());
+  ExpectSameDetections(healed.value(), expected);
+  BLAZEIT_ASSERT_OK(store.value()->Flush());
+  auto reopened = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(reopened.status());
+  EXPECT_EQ(reopened.value()->RecordCount(ns), kFrames);
+  auto durable = reopened.value()->GetDetections(ns, 9);
+  BLAZEIT_ASSERT_OK(durable.status());
+  ExpectSameDetections(durable.value(), expected);
 }
 
 TEST_F(StorageTest, ArtifactCacheRepairsCorruptRecordInPlace) {
@@ -687,13 +749,16 @@ TEST_F(StorageTest, ArtifactCacheRepairsCorruptRecordInPlace) {
   auto store = DetectionStore::Open(dir_);
   BLAZEIT_ASSERT_OK(store.status());
   StoreArtifactCache cache(store.value().get());
+  obs::Counter* repairs = obs::MetricsRegistry::Global().GetCounter(
+      "store.record_repairs", obs::Stability::kStable);
+  const int64_t repairs_before = repairs->value();
   std::vector<float> out;
-  // Read fails (corrupt, not NotFound) and is remembered...
+  // Read fails (corrupt, not NotFound) and the store remembers the key...
   EXPECT_FALSE(cache.GetFrameFloats(kNs, 7, &out));
   EXPECT_EQ(cache.misses(), 1);
   // ...so the caller's recompute-and-put repairs the record in place.
   cache.PutFrameFloats(kNs, 7, values);
-  EXPECT_EQ(cache.repairs(), 1);
+  EXPECT_EQ(repairs->value() - repairs_before, 1);
   EXPECT_TRUE(cache.GetFrameFloats(kNs, 7, &out));
   EXPECT_EQ(out, values);
 

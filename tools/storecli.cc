@@ -74,22 +74,28 @@
 //       prints, so scrapers can read post-run state; --wall-clock-ms N
 //       drives the admission clock from a real timer (one tick every N
 //       ms) instead of --tick-every's virtual schedule.
+//
+// Every numeric argument must be a whole integer in its range (namespaces
+// in hex); anything else is a usage error (exit 2).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/catalog.h"
 #include "core/engine.h"
+#include "detect/cached_detector.h"
 #include "detect/simulated_detector.h"
 #include "obs/debug_server.h"
 #include "obs/metrics.h"
@@ -97,7 +103,6 @@
 #include "obs/report.h"
 #include "serve/admission_queue.h"
 #include "storage/detection_store.h"
-#include "storage/persistent_cached_detector.h"
 #include "storage/record_format.h"
 #include "storage/segment_sketch.h"
 #include "util/logging.h"
@@ -134,6 +139,25 @@ int Usage() {
   return 2;
 }
 
+constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
+
+/// The one parser for numeric arguments: all of `text` must be an integer
+/// in [lo, hi], in decimal or (base 16, for namespaces) bare hex digits.
+/// Empty text, trailing junk, a sign the type cannot hold, overflow and
+/// out-of-range values all return false.
+template <typename T>
+bool ParseNumber(const std::string& text, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi, T* out, int base = 10) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -166,7 +190,7 @@ int RunBuild(const std::string& dir, const std::string& stream,
   if (!store.ok()) return Fail(store.status());
 
   SimulatedDetector inner;
-  PersistentCachedDetector detector(&inner, store.value().get());
+  CachedDetector detector(&inner, store.value().get());
   for (int64_t t = 0; t < frames; ++t) {
     (void)detector.Detect(*video.value(), t);
   }
@@ -177,7 +201,7 @@ int RunBuild(const std::string& dir, const std::string& stream,
       "%lld already stored)\n",
       stream.c_str(), day.c_str(), static_cast<long long>(frames),
       static_cast<unsigned long long>(
-          detector.StreamNamespace(*video.value())),
+          DetectionNamespace(*video.value(), inner)),
       static_cast<long long>(detector.store_misses()),
       static_cast<long long>(detector.store_hits()));
   return 0;
@@ -286,8 +310,13 @@ int WriteFileOrFail(const std::string& path, const std::string& content) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  // fclose flushes the stdio buffer, so a full disk often shows only here.
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+    return 1;
+  }
   return 0;
 }
 
@@ -338,9 +367,8 @@ int RunQuery(const QueryArgs& args) {
   if (!added.ok()) return Fail(added);
 
   BlazeItEngine engine(&catalog, ToolEngineOptions(args.small_nn));
-  const int64_t repeat = std::max<int64_t>(1, args.repeat);
-  const int64_t concurrency =
-      std::min(std::max<int64_t>(1, args.concurrency), repeat);
+  const int64_t repeat = args.repeat;
+  const int64_t concurrency = std::min(args.concurrency, repeat);
   Result<QueryOutput> out = Status::Internal("no run executed");
   if (concurrency <= 1) {
     for (int64_t r = 0; r < repeat; ++r) {
@@ -576,9 +604,8 @@ int RunServe(const ServeArgs& args) {
     std::string error;
   };
   std::vector<Rejection> rejected;
-  const int64_t repeat = std::max<int64_t>(1, args.repeat);
   int64_t since_tick = 0;
-  for (int64_t rep = 0; rep < repeat; ++rep) {
+  for (int64_t rep = 0; rep < args.repeat; ++rep) {
     for (const WorkItem& item : workload) {
       auto ticket = queue.Submit(item.client, item.frameql);
       if (!ticket.ok()) {
@@ -802,10 +829,14 @@ int RunSketchVerify(const std::string& dir) {
 }
 
 int RunSketchRebuild(const std::string& dir, const std::string& ns_hex) {
+  uint64_t ns = 0;
+  if (!ns_hex.empty() &&
+      !ParseNumber(ns_hex, 0, std::numeric_limits<uint64_t>::max(), &ns, 16)) {
+    return Usage();
+  }
   auto store = DetectionStore::Open(dir);
   if (!store.ok()) return Fail(store.status());
   if (!ns_hex.empty()) {
-    const uint64_t ns = std::strtoull(ns_hex.c_str(), nullptr, 16);
     Status built = store.value()->BuildSketches(ns);
     if (!built.ok()) return Fail(built);
     std::printf("rebuilt sketches for %016llx\n",
@@ -835,9 +866,12 @@ int RunSketchRebuild(const std::string& dir, const std::string& ns_hex) {
 }
 
 int RunSketchDrop(const std::string& dir, const std::string& ns_hex) {
+  uint64_t ns = 0;
+  if (!ParseNumber(ns_hex, 0, std::numeric_limits<uint64_t>::max(), &ns, 16)) {
+    return Usage();
+  }
   auto store = DetectionStore::Open(dir);
   if (!store.ok()) return Fail(store.status());
-  const uint64_t ns = std::strtoull(ns_hex.c_str(), nullptr, 16);
   Status dropped = store.value()->DropSketches(ns);
   if (!dropped.ok()) return Fail(dropped);
   std::printf("dropped sketches for %016llx\n",
@@ -851,7 +885,10 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "build") {
     if (argc < 5) return Usage();
-    int64_t frames = argc > 5 ? std::atoll(argv[5]) : 0;
+    int64_t frames = 0;  // the day's default length
+    if (argc > 5 && !ParseNumber(argv[5], 1, kNoLimit, &frames)) {
+      return Usage();
+    }
     return RunBuild(argv[2], argv[3], argv[4], frames);
   }
   if (command == "ls") return RunLs(argv[2]);
@@ -865,7 +902,8 @@ int Main(int argc, char** argv) {
     args.dir = argv[2];
     args.stream = argv[3];
     args.frameql = argv[4];
-    for (int i = 5; i < argc; ++i) {
+    bool ok = true;  // every numeric value parsed
+    for (int i = 5; ok && i < argc; ++i) {
       const std::string flag = argv[i];
       if (flag == "--json") {
         args.json = true;
@@ -876,19 +914,20 @@ int Main(int argc, char** argv) {
       } else if (flag == "--metrics" && i + 1 < argc) {
         args.metrics_path = argv[++i];
       } else if (flag == "--train" && i + 1 < argc) {
-        args.train = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.train);
       } else if (flag == "--held" && i + 1 < argc) {
-        args.held = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.held);
       } else if (flag == "--test" && i + 1 < argc) {
-        args.test = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.test);
       } else if (flag == "--repeat" && i + 1 < argc) {
-        args.repeat = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.repeat);
       } else if (flag == "--concurrency" && i + 1 < argc) {
-        args.concurrency = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.concurrency);
       } else {
         return Usage();
       }
     }
+    if (!ok) return Usage();
     return RunQuery(args);
   }
   if (command == "serve") {
@@ -896,44 +935,46 @@ int Main(int argc, char** argv) {
     ServeArgs args;
     args.dir = argv[2];
     args.workload = argv[3];
-    for (int i = 4; i < argc; ++i) {
+    bool ok = true;  // every numeric value parsed
+    for (int i = 4; ok && i < argc; ++i) {
       const std::string flag = argv[i];
       if (flag == "--stream" && i + 1 < argc) {
         args.streams.push_back(argv[++i]);
       } else if (flag == "--window" && i + 1 < argc) {
-        args.window = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 0, kNoLimit, &args.window);
       } else if (flag == "--max-queue" && i + 1 < argc) {
-        args.max_queue = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.max_queue);
       } else if (flag == "--quota" && i + 1 < argc) {
-        args.quota = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.quota);
       } else if (flag == "--shed-depth" && i + 1 < argc) {
-        args.shed_depth = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], -1, kNoLimit, &args.shed_depth);
       } else if (flag == "--tick-every" && i + 1 < argc) {
-        args.tick_every = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 0, kNoLimit, &args.tick_every);
       } else if (flag == "--repeat" && i + 1 < argc) {
-        args.repeat = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.repeat);
       } else if (flag == "--prom" && i + 1 < argc) {
         args.prom_path = argv[++i];
       } else if (flag == "--small-nn") {
         args.small_nn = true;
       } else if (flag == "--train" && i + 1 < argc) {
-        args.train = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.train);
       } else if (flag == "--held" && i + 1 < argc) {
-        args.held = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.held);
       } else if (flag == "--test" && i + 1 < argc) {
-        args.test = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 1, kNoLimit, &args.test);
       } else if (flag == "--listen" && i + 1 < argc) {
-        args.listen_port = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 0, 65535, &args.listen_port);
       } else if (flag == "--port-file" && i + 1 < argc) {
         args.port_file = argv[++i];
       } else if (flag == "--linger-ms" && i + 1 < argc) {
-        args.linger_ms = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 0, kNoLimit, &args.linger_ms);
       } else if (flag == "--wall-clock-ms" && i + 1 < argc) {
-        args.wall_clock_ms = std::atoll(argv[++i]);
+        ok = ParseNumber(argv[++i], 0, kNoLimit, &args.wall_clock_ms);
       } else {
         return Usage();
       }
     }
+    if (!ok) return Usage();
     return RunServe(args);
   }
   if (command == "inspect") return RunInspect(argv[2]);
