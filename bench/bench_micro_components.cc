@@ -133,6 +133,74 @@ void BM_MatMulTransposeB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposeB);
 
+// The small NN the repo benchmark and `storecli --small-nn` run: a 16x16
+// raster (1024 inputs) and one 32-wide hidden layer. The GEMMs are its
+// trunk at an inference batch (256 rows) and a training step (16 rows).
+SpecializedNNConfig SmallNNConfig() {
+  SpecializedNNConfig cfg;
+  cfg.raster_width = 16;
+  cfg.raster_height = 16;
+  cfg.hidden_dims = {32};
+  cfg.max_train_frames = 1500;
+  return cfg;
+}
+
+const std::vector<int>& CarCounts() {
+  static const std::vector<int>* counts = [] {
+    SimulatedDetector det;
+    LabeledSet labels(&Video(), &det, 0.5);
+    return new std::vector<int>(labels.Counts(kCar));
+  }();
+  return *counts;
+}
+
+void BM_MatMulSmallNN(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  Rng rng(4);
+  Matrix a = RandomMatrix(&rng, rows, 1024);
+  Matrix b = RandomMatrix(&rng, 1024, 32);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * 1024 * 32);
+}
+BENCHMARK(BM_MatMulSmallNN)->Arg(256)->Arg(16);
+
+void BM_MatMulTransposeASmallNN(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  Rng rng(5);
+  Matrix a = RandomMatrix(&rng, rows, 1024);  // cached input
+  Matrix g = RandomMatrix(&rng, rows, 32);    // upstream gradient
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransposeA(a, g));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * 1024 * 32);
+}
+BENCHMARK(BM_MatMulTransposeASmallNN)->Arg(256)->Arg(16);
+
+void BM_SmallNNInference(benchmark::State& state) {
+  static SpecializedNN* nn = new SpecializedNN(
+      SpecializedNN::Train(Video(), {CarCounts()}, SmallNNConfig()).value());
+  const int batch = static_cast<int>(state.range(0));
+  std::vector<int64_t> frames(static_cast<size_t>(batch));
+  std::iota(frames.begin(), frames.end(), 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn->ExpectedCountsForFrames(Video(), frames));
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_SmallNNInference)->Arg(256);
+
+void BM_SmallNNTrain(benchmark::State& state) {
+  const SpecializedNNConfig cfg = SmallNNConfig();
+  for (auto _ : state) {
+    auto nn = SpecializedNN::Train(Video(), {CarCounts()}, cfg);
+    benchmark::DoNotOptimize(nn);
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.max_train_frames);
+}
+BENCHMARK(BM_SmallNNTrain);
+
 // ---------------------------------------------------------------------------
 // Thread-count axes (PR 4): the sharded frame pipeline and batched NN
 // inference at pool sizes 1/2/4/8. On a multi-core machine these are the

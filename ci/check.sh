@@ -36,6 +36,23 @@ echo "==> release preset: library build (-O3)"
 cmake --preset release > /dev/null
 cmake --build --preset release -j "${JOBS}" --target blazeit > /dev/null
 
+# The repo benchmark builds its own driver against the library's public
+# headers (ArtifactCache, StreamData, serve::BatchQueryStats, ...), so a
+# header edit can break it without failing any suite above. Run its unit
+# tests, then build the driver and run one zero-length cold-ingest pass,
+# whose outputs the benchmark checks bit for bit against its own first
+# pass. Gating.
+echo "==> perfbench: unit tests + cold-ingest smoke"
+python3 -m unittest discover -s perfbench/tests
+PERFBENCH_LAST="$(CARGO_TARGET_DIR="${BUILD_DIR}-perfbench" \
+  python3 perfbench/run.py --workload cold-ingest --seed 1 --seconds 0 \
+    --trace 0 | tail -n 1)"
+python3 -c 'import json, sys
+d = json.loads(sys.argv[1])
+assert d["correct"] is True and d["failed"] == 0, d
+print("perfbench smoke valid:", d["attempted"], "queries, 0 failed")' \
+  "${PERFBENCH_LAST}"
+
 STORE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-store.XXXXXX")"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-smoke.XXXXXX")"
 trap 'rm -rf "${STORE_DIR}" "${SMOKE_DIR}"' EXIT

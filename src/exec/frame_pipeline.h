@@ -28,12 +28,14 @@ namespace exec {
 /// rules a pipeline's output is bit-identical at any thread count.
 class FramePipeline {
  public:
-  /// Per-worker reusable buffers: a render target for
-  /// RenderFrameRegionInto / RenderFrameFeatures and a Matrix for NN
-  /// input batches. Both grow to the high-water mark of the shards their
-  /// slot executes and are fully overwritten before each use.
+  /// Per-worker reusable buffers. Both grow to the high-water mark of the
+  /// shards their slot executes and are fully overwritten before each use.
   struct Scratch {
+    /// Render target for RenderFrameRegionInto / RenderFrameFeatures.
     Image image;
+    /// The specialized NN's inference input batch: ProbsForFrames
+    /// Resizes it to each shard's [frames, features] and renders every
+    /// row in place.
     Matrix matrix;
   };
 

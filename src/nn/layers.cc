@@ -30,8 +30,8 @@ Matrix Linear::Infer(const Matrix& input) const {
   return out;
 }
 
-Matrix Linear::Backward(const Matrix& grad_output) {
-  // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
+void Linear::BackwardParams(const Matrix& grad_output) {
+  // dW += X^T dY ; db += colsum(dY).
   Matrix dw = MatMulTransposeA(cached_input_, grad_output);
   for (size_t i = 0; i < w_grad_.data().size(); ++i) {
     w_grad_.data()[i] += dw.data()[i];
@@ -40,6 +40,11 @@ Matrix Linear::Backward(const Matrix& grad_output) {
     const float* row = grad_output.Row(r);
     for (int c = 0; c < out_dim_; ++c) b_grad_[static_cast<size_t>(c)] += row[c];
   }
+}
+
+Matrix Linear::Backward(const Matrix& grad_output) {
+  BackwardParams(grad_output);
+  // dX = dY W^T.
   return MatMulTransposeB(grad_output, w_);
 }
 
@@ -69,23 +74,28 @@ Matrix ReLU::Backward(const Matrix& grad_output) {
 }
 
 Matrix Sequential::Forward(const Matrix& input) {
-  Matrix x = input;
-  for (auto& layer : layers_) x = layer->Forward(x);
+  if (layers_.empty()) return input;
+  Matrix x = layers_.front()->Forward(input);
+  for (size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Forward(x);
   return x;
 }
 
 Matrix Sequential::Infer(const Matrix& input) const {
-  Matrix x = input;
-  for (const auto& layer : layers_) x = layer->Infer(x);
+  if (layers_.empty()) return input;
+  Matrix x = layers_.front()->Infer(input);
+  for (size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Infer(x);
   return x;
 }
 
-Matrix Sequential::Backward(const Matrix& grad_output) {
-  Matrix g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+void Sequential::Backward(const Matrix& grad_output) {
+  if (layers_.empty()) return;
+  const Matrix* grad = &grad_output;
+  Matrix g;
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->Backward(*grad);
+    grad = &g;
   }
-  return g;
+  layers_.front()->BackwardParams(*grad);
 }
 
 std::vector<ParamRef> Sequential::Params() {

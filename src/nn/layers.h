@@ -28,6 +28,11 @@ class Layer {
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input).
   virtual Matrix Backward(const Matrix& grad_output) = 0;
+  /// Backward for a network's first layer, whose dL/d(input) nothing
+  /// reads: accumulates the same parameter gradients, bit for bit.
+  virtual void BackwardParams(const Matrix& grad_output) {
+    Backward(grad_output);
+  }
   /// Forward math without the Backward cache; const and thread-safe.
   virtual Matrix Infer(const Matrix& input) const = 0;
   virtual std::vector<ParamRef> Params() { return {}; }
@@ -40,6 +45,8 @@ class Linear : public Layer {
 
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  /// dW and db only: skips the dX = dY W^T product.
+  void BackwardParams(const Matrix& grad_output) override;
   Matrix Infer(const Matrix& input) const override;
   std::vector<ParamRef> Params() override;
 
@@ -67,8 +74,9 @@ class ReLU : public Layer {
   Matrix cached_input_;
 };
 
-/// A simple layer pipeline.
-class Sequential : public Layer {
+/// A simple layer pipeline: a whole network, not a Layer, because its
+/// Backward stops at the parameter gradients.
+class Sequential {
  public:
   Sequential() = default;
 
@@ -76,10 +84,15 @@ class Sequential : public Layer {
     layers_.push_back(std::move(layer));
   }
 
-  Matrix Forward(const Matrix& input) override;
-  Matrix Backward(const Matrix& grad_output) override;
-  Matrix Infer(const Matrix& input) const override;
-  std::vector<ParamRef> Params() override;
+  /// Layer-by-layer Forward / Infer; the first layer reads `input` in
+  /// place. An empty pipeline is the identity.
+  Matrix Forward(const Matrix& input);
+  Matrix Infer(const Matrix& input) const;
+  /// Accumulates every layer's parameter gradients given dL/d(output).
+  /// dL/d(network input) is not computed: no caller reads it, so the
+  /// first layer runs BackwardParams.
+  void Backward(const Matrix& grad_output);
+  std::vector<ParamRef> Params();
 
   size_t size() const { return layers_.size(); }
 

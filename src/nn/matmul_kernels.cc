@@ -1,5 +1,6 @@
 #include "nn/matmul_kernels.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,7 +33,7 @@ namespace {
 /// Minimum multiply-add count before a GEMM is worth sharding across the
 /// pool (below this, shard bookkeeping rivals the math).
 constexpr int64_t kParallelFlops = int64_t{1} << 22;
-/// Rows per shard (multiple of the 4-row kernel blocks).
+/// Rows per shard (multiple of the 8-row kernel blocks).
 constexpr int kRowShard = 32;
 /// Columns per shard for MatMulTransposeB (multiple of the 16-wide tile).
 constexpr int kColShard = 64;
@@ -110,8 +111,7 @@ void MatMulTransposeBScalar(const float* a, const float* b, float* c, int m,
 // AVX-512 kernels. Each output cell lives in exactly one vector lane and
 // accumulates its k-contributions in ascending order with separate
 // multiply/add intrinsics, so results are bit-identical to the scalar
-// kernels above. Column tiles of 64 (four zmm accumulators) give four
-// independent add chains, hiding FP add latency.
+// kernels above.
 // ---------------------------------------------------------------------------
 
 #ifdef BLAZEIT_X86_64
@@ -125,164 +125,120 @@ void MatMulTransposeBScalar(const float* a, const float* b, float* c, int m,
 
 namespace {
 
-/// Per-16-column lane masks for a 64-wide column group starting at j0.
-inline void ColumnMasks(int n, int j0, __mmask16 mask[4]) {
-  for (int t = 0; t < 4; ++t) {
-    int live = n - (j0 + 16 * t);
-    live = live < 0 ? 0 : (live > 16 ? 16 : live);
+/// Left operand of the row-blocked kernels: output row i's coefficient at
+/// step p is a[i * row_stride + p * step_stride]. MatMul's row-major
+/// a[m,k] has strides (k, 1); MatMulTransposeA reads a[k,m] as (1, m).
+struct LeftOperand {
+  const float* a;
+  size_t row_stride;
+  size_t step_stride;
+};
+
+/// One block of kRows output rows by kTiles 16-column tiles starting at
+/// column j0: kRows * kTiles zmm accumulators, with each step's row of b
+/// loaded once and reused by all kRows rows (b is the dominant memory
+/// traffic, re-read once per row block). A coefficient that is exactly
+/// zero contributes only a signed zero, and adding a signed zero never
+/// changes a finite partial sum (a +0 accumulator stays +0 under
+/// round-to-nearest), so the unconditional multiply-add in a block is
+/// bit-identical to the scalar kernel's per-element skip for finite
+/// inputs; skipping steps whose kRows coefficients are all zero keeps the
+/// ReLU-sparsity win. Every loop over rows or tiles is fully unrolled so
+/// the accumulators stay in registers.
+template <int kTiles, int kRows>
+__attribute__((target("avx512f,avx512dq"))) void Avx512Block(
+    LeftOperand lhs, const float* b, float* c, int k, int n, int i, int j0,
+    const __mmask16* mask) {
+  const float* arow[kRows];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    arow[r] = lhs.a + static_cast<size_t>(i + r) * lhs.row_stride;
+  }
+  __m512 acc[kRows][kTiles];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (int t = 0; t < kTiles; ++t) acc[r][t] = _mm512_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const size_t step = static_cast<size_t>(p) * lhs.step_stride;
+    float v[kRows];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) v[r] = arow[r][step];
+    // Short-circuit, so a dense block pays one compare per step.
+    int first_nonzero = 0;
+#pragma GCC unroll 8
+    for (; first_nonzero < kRows; ++first_nonzero) {
+      if (v[first_nonzero] != 0.0f) break;
+    }
+    if (first_nonzero == kRows) continue;
+    const float* brow = b + static_cast<size_t>(p) * n + j0;
+#pragma GCC unroll 8
+    for (int t = 0; t < kTiles; ++t) {
+      const __m512 bv = _mm512_maskz_loadu_ps(mask[t], brow + 16 * t);
+#pragma GCC unroll 8
+      for (int r = 0; r < kRows; ++r) {
+        acc[r][t] =
+            _mm512_add_ps(acc[r][t], _mm512_mul_ps(_mm512_set1_ps(v[r]), bv));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    float* crow = c + static_cast<size_t>(i + r) * n + j0;
+#pragma GCC unroll 8
+    for (int t = 0; t < kTiles; ++t) {
+      _mm512_mask_storeu_ps(crow + 16 * t, mask[t], acc[r][t]);
+    }
+  }
+}
+
+/// Rows [i, i1) in blocks of kRows, the remainder in halving blocks.
+template <int kTiles, int kRows>
+__attribute__((target("avx512f,avx512dq"))) void Avx512RowBlocks(
+    LeftOperand lhs, const float* b, float* c, int k, int n, int i, int i1,
+    int j0, const __mmask16* mask) {
+  for (; i + kRows <= i1; i += kRows) {
+    Avx512Block<kTiles, kRows>(lhs, b, c, k, n, i, j0, mask);
+  }
+  if constexpr (kRows > 1) {
+    Avx512RowBlocks<kTiles, kRows / 2>(lhs, b, c, k, n, i, i1, j0, mask);
+  }
+}
+
+/// Rows [i0, i1) of the kTiles live 16-column tiles from column j0. Only
+/// tiles holding live columns run, and when at most two are live the
+/// accumulators they free carry 8-row blocks instead of 4.
+template <int kTiles>
+__attribute__((target("avx512f,avx512dq"))) void Avx512ColumnGroup(
+    LeftOperand lhs, const float* b, float* c, int k, int n, int i0, int i1,
+    int j0) {
+  __mmask16 mask[kTiles];
+  for (int t = 0; t < kTiles; ++t) {
+    const int live = std::min(n - (j0 + 16 * t), 16);
     mask[t] = static_cast<__mmask16>((1u << live) - 1u);
   }
+  Avx512RowBlocks<kTiles, kTiles <= 2 ? 8 : 4>(lhs, b, c, k, n, i0, i1, j0,
+                                               mask);
 }
 
-__attribute__((target("avx512f,avx512dq"))) void MatMulAvx512Rows(
-    const float* a, const float* b, float* c, int k, int n, int i0, int i1) {
-  // Row blocks of four share one streaming pass over b (the dominant
-  // memory traffic: b is re-read once per row block, so blocking cuts it
-  // 4x), with one 64-column group of accumulators per row — 16 zmm live.
-  // A coefficient that is exactly zero contributes only a signed zero,
-  // and adding a signed zero never changes a finite partial sum (a +0
-  // accumulator stays +0 under round-to-nearest), so the unconditional
-  // multiply-add in the 4-row block is bit-identical to the scalar
-  // kernel's skip for finite inputs; the all-four-zero check keeps the
-  // ReLU-sparsity win.
+/// c rows [i0, i1) += lhs * b, in 64-column groups.
+__attribute__((target("avx512f,avx512dq"))) void GemmAvx512Rows(
+    LeftOperand lhs, const float* b, float* c, int k, int n, int i0, int i1) {
   for (int j0 = 0; j0 < n; j0 += 64) {
-    __mmask16 mask[4];
-    ColumnMasks(n, j0, mask);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m512 acc[4][4];
-      for (int r = 0; r < 4; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm512_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m512 w0 = _mm512_set1_ps(v0);
-        const __m512 w1 = _mm512_set1_ps(v1);
-        const __m512 w2 = _mm512_set1_ps(v2);
-        const __m512 w3 = _mm512_set1_ps(v3);
-        for (int t = 0; t < 4; ++t) {
-          const __m512 bv = _mm512_maskz_loadu_ps(mask[t], brow + 16 * t);
-          acc[0][t] = _mm512_add_ps(acc[0][t], _mm512_mul_ps(w0, bv));
-          acc[1][t] = _mm512_add_ps(acc[1][t], _mm512_mul_ps(w1, bv));
-          acc[2][t] = _mm512_add_ps(acc[2][t], _mm512_mul_ps(w2, bv));
-          acc[3][t] = _mm512_add_ps(acc[3][t], _mm512_mul_ps(w3, bv));
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm512_mask_storeu_ps(crow + 16 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* arow = a + static_cast<size_t>(i) * k;
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const __m512 avv = _mm512_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[0], brow)));
-        acc1 = _mm512_add_ps(
-            acc1,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[1], brow + 16)));
-        acc2 = _mm512_add_ps(
-            acc2,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[2], brow + 32)));
-        acc3 = _mm512_add_ps(
-            acc3,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[3], brow + 48)));
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      _mm512_mask_storeu_ps(crow, mask[0], acc0);
-      _mm512_mask_storeu_ps(crow + 16, mask[1], acc1);
-      _mm512_mask_storeu_ps(crow + 32, mask[2], acc2);
-      _mm512_mask_storeu_ps(crow + 48, mask[3], acc3);
-    }
-  }
-}
-
-__attribute__((target("avx512f,avx512dq"))) void MatMulTransposeAAvx512Rows(
-    const float* a, const float* b, float* c, int m, int k, int n, int i0,
-    int i1) {
-  // Same tile shape and row blocking as MatMulAvx512Rows; the only
-  // difference is that row i's coefficient at step p comes from a's
-  // column i, so a 4-row block reads its four coefficients as one
-  // contiguous quad at a[p*m + i]. Per-cell accumulation order and zero
-  // handling match the scalar kernel bit-for-bit (see the signed-zero
-  // note above).
-  for (int j0 = 0; j0 < n; j0 += 64) {
-    __mmask16 mask[4];
-    ColumnMasks(n, j0, mask);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      __m512 acc[4][4];
-      for (int r = 0; r < 4; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm512_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float* ap = a + static_cast<size_t>(p) * m + i;
-        const float v0 = ap[0], v1 = ap[1], v2 = ap[2], v3 = ap[3];
-        if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m512 w0 = _mm512_set1_ps(v0);
-        const __m512 w1 = _mm512_set1_ps(v1);
-        const __m512 w2 = _mm512_set1_ps(v2);
-        const __m512 w3 = _mm512_set1_ps(v3);
-        for (int t = 0; t < 4; ++t) {
-          const __m512 bv = _mm512_maskz_loadu_ps(mask[t], brow + 16 * t);
-          acc[0][t] = _mm512_add_ps(acc[0][t], _mm512_mul_ps(w0, bv));
-          acc[1][t] = _mm512_add_ps(acc[1][t], _mm512_mul_ps(w1, bv));
-          acc[2][t] = _mm512_add_ps(acc[2][t], _mm512_mul_ps(w2, bv));
-          acc[3][t] = _mm512_add_ps(acc[3][t], _mm512_mul_ps(w3, bv));
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm512_mask_storeu_ps(crow + 16 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* acol = a + i;
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = acol[static_cast<size_t>(p) * m];
-        if (av == 0.0f) continue;
-        const __m512 avv = _mm512_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[0], brow)));
-        acc1 = _mm512_add_ps(
-            acc1,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[1], brow + 16)));
-        acc2 = _mm512_add_ps(
-            acc2,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[2], brow + 32)));
-        acc3 = _mm512_add_ps(
-            acc3,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[3], brow + 48)));
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      _mm512_mask_storeu_ps(crow, mask[0], acc0);
-      _mm512_mask_storeu_ps(crow + 16, mask[1], acc1);
-      _mm512_mask_storeu_ps(crow + 32, mask[2], acc2);
-      _mm512_mask_storeu_ps(crow + 48, mask[3], acc3);
+    switch ((std::min(n - j0, 64) + 15) / 16) {
+      case 1:
+        Avx512ColumnGroup<1>(lhs, b, c, k, n, i0, i1, j0);
+        break;
+      case 2:
+        Avx512ColumnGroup<2>(lhs, b, c, k, n, i0, i1, j0);
+        break;
+      case 3:
+        Avx512ColumnGroup<3>(lhs, b, c, k, n, i0, i1, j0);
+        break;
+      default:
+        Avx512ColumnGroup<4>(lhs, b, c, k, n, i0, i1, j0);
+        break;
     }
   }
 }
@@ -564,7 +520,7 @@ void MatMul(const float* a, const float* b, float* c, int m, int k, int n) {
   DispatchRange(m, k, n, m, kRowShard, [&](int i0, int i1) {
 #ifdef BLAZEIT_X86_64
     if (CpuHasAvx512()) {
-      MatMulAvx512Rows(a, b, c, k, n, i0, i1);
+      GemmAvx512Rows({a, static_cast<size_t>(k), 1}, b, c, k, n, i0, i1);
       return;
     }
     if (CpuHasAvx2()) {
@@ -581,7 +537,7 @@ void MatMulTransposeA(const float* a, const float* b, float* c, int m, int k,
   DispatchRange(m, k, n, m, kRowShard, [&](int i0, int i1) {
 #ifdef BLAZEIT_X86_64
     if (CpuHasAvx512()) {
-      MatMulTransposeAAvx512Rows(a, b, c, m, k, n, i0, i1);
+      GemmAvx512Rows({a, 1, static_cast<size_t>(m)}, b, c, k, n, i0, i1);
       return;
     }
     if (CpuHasAvx2()) {

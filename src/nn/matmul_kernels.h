@@ -24,11 +24,12 @@ namespace matmul {
 /// identical at any BLAZEIT_THREADS. tests/tensor_test.cc pins
 /// scalar/SIMD parity on every tier. The finite-input scope exists
 /// because the scalar kernels skip exact-zero left-operand coefficients
-/// per element while the blocked SIMD tiles skip per row group (4 rows at
-/// AVX-512, 2 at AVX2) — for finite operands the extra signed-zero
-/// contributions are bit-neutral (see the kernel comments), but an
-/// Inf/NaN in `b` under a zero coefficient (already-diverged training)
-/// can differ between paths.
+/// per element while the blocked SIMD tiles skip per row group (at
+/// AVX-512, 8 rows when a 64-column group has at most two live 16-column
+/// tiles and 4 otherwise, halving down to 1 at row tails; 2 at AVX2) —
+/// for finite operands the extra signed-zero contributions are
+/// bit-neutral (see the kernel comments), but an Inf/NaN in `b` under a
+/// zero coefficient (already-diverged training) can differ between paths.
 
 /// c[m,n] = a[m,k] * b[k,n]. `c` must be zero-initialized.
 void MatMul(const float* a, const float* b, float* c, int m, int k, int n);

@@ -325,12 +325,12 @@ std::vector<float> SpecializedNN::ProbsForFrames(
   }
 
   // Batched forward passes over the misses, sharded across the exec pool
-  // (one eval batch per shard, per-worker render scratch). Layer math is
-  // row-independent and Infer is stateless, so how frames are grouped
-  // into batches — and which worker runs which batch — cannot change any
-  // output bit: a partially warm cache and any thread count yield the
-  // same floats as a cold serial run. Each shard writes only its own
-  // frames' disjoint slices of `out`.
+  // (one eval batch per shard, rendered into the worker slot's scratch
+  // image and input matrix). Layer math is row-independent and Infer is
+  // stateless, so how frames are grouped into batches — and which worker
+  // runs which batch — cannot change any output bit: a partially warm
+  // cache and any thread count yield the same floats as a cold serial
+  // run. Each shard writes only its own frames' disjoint slices of `out`.
   // Frames actually pushed through the kernels, labeled by the SIMD tier
   // dispatch resolved to (latched for the process, so the label — like
   // the count — is stable across pool sizes).
@@ -346,7 +346,8 @@ std::vector<float> SpecializedNN::ProbsForFrames(
       static_cast<int64_t>(miss.size()), kEvalBatch,
       [&](int64_t start, int64_t end, exec::FramePipeline::Scratch* scratch) {
         const int batch = static_cast<int>(end - start);
-        Matrix x(batch, impl_->input_dim);
+        Matrix& x = scratch->matrix;
+        x.Resize(batch, impl_->input_dim);
         for (int i = 0; i < batch; ++i) {
           RenderFrameFeatures(
               video, frames[miss[static_cast<size_t>(start + i)]], w, h,

@@ -9,6 +9,12 @@ namespace blazeit {
 
 void Matrix::Zero() { std::fill(data_.begin(), data_.end(), 0.0f); }
 
+void Matrix::Resize(int rows, int cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
+}
+
 // Shape mismatches here would be silent out-of-bounds reads in Release
 // builds if guarded by assert() (which compiles out under NDEBUG), so the
 // checks are BLAZEIT_CHECK: always on, abort with the offending dims.

@@ -34,6 +34,10 @@ class Matrix {
   const std::vector<float>& data() const { return data_; }
 
   void Zero();
+  /// Reshapes to [rows, cols] keeping the buffer's capacity, so a matrix
+  /// reused across batches allocates once. Cell values are left over from
+  /// earlier use (zero where the buffer grew): callers overwrite every cell.
+  void Resize(int rows, int cols);
 
  private:
   size_t Index(int r, int c) const {

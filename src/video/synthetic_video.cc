@@ -34,6 +34,19 @@ Result<std::unique_ptr<SyntheticVideo>> SyntheticVideo::Create(
     return Status::InvalidArgument("num_frames must be positive");
   std::unique_ptr<SyntheticVideo> video(
       new SyntheticVideo(config, seed, num_frames));
+  // Lighting phase is per-stream (shared across days); see the rate-
+  // modulation comment in GenerateInstances.
+  video->lighting_phase_ =
+      static_cast<double>(HashCombine(HashString(config.name), 0xbeef) %
+                          1000) /
+      1000.0 * 2 * std::numbers::pi;
+  // Day-level drift: one brightness factor per day (seed), modelling
+  // weather/exposure differences between days.
+  if (config.day_brightness_jitter > 0) {
+    Rng day_rng(HashCombine(seed, 0xda1));
+    video->day_factor_ =
+        1.0 + day_rng.Normal(0.0, config.day_brightness_jitter);
+  }
   video->GenerateInstances();
   video->GenerateClutter();
   video->BuildActiveIndex();
@@ -230,19 +243,6 @@ int SyntheticVideo::CountVisible(int64_t frame, int class_id) const {
 float SyntheticVideo::Lighting(int64_t frame) const {
   double period_frames =
       std::max(1.0, config_.lighting_period_sec * config_.fps);
-  // Lighting phase is per-stream (shared across days); see the rate-
-  // modulation comment in GenerateInstances.
-  double phase =
-      static_cast<double>(HashCombine(HashString(config_.name), 0xbeef) %
-                          1000) /
-      1000.0 * 2 * std::numbers::pi;
-  // Day-level drift: one brightness factor per day (seed), modelling
-  // weather/exposure differences between days.
-  double day_factor = 1.0;
-  if (config_.day_brightness_jitter > 0) {
-    Rng day_rng(HashCombine(seed_, 0xda1));
-    day_factor = 1.0 + day_rng.Normal(0.0, config_.day_brightness_jitter);
-  }
   // Clamp to non-negative: with a large day_brightness_jitter the Gaussian
   // day factor can dip below the sinusoid's amplitude, and a negative
   // global light would rasterize negative channel values (violating the
@@ -252,9 +252,10 @@ float SyntheticVideo::Lighting(int64_t frame) const {
   return std::max(
       0.0f,
       static_cast<float>(
-          day_factor +
+          day_factor_ +
           config_.lighting_variation *
-              std::sin(2 * std::numbers::pi * frame / period_frames + phase)));
+              std::sin(2 * std::numbers::pi * frame / period_frames +
+                       lighting_phase_)));
 }
 
 Image SyntheticVideo::RenderFrame(int64_t frame, int width,

@@ -130,6 +130,10 @@ class SyntheticVideo {
   uint64_t seed_;
   int64_t num_frames_;
   uint64_t fingerprint_ = 0;
+  /// Lighting's per-stream sinusoid phase and per-day brightness factor,
+  /// drawn once in Create.
+  double lighting_phase_ = 0.0;
+  double day_factor_ = 1.0;
   std::vector<Instance> instances_;
   std::vector<ClutterBlob> clutter_;
   /// active_[frame] lists indices into instances_ whose interval covers the

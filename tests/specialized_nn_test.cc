@@ -10,6 +10,8 @@
 
 #include "core/labeled_set.h"
 #include "detect/simulated_detector.h"
+#include "exec/thread_pool.h"
+#include "nn/loss.h"
 #include "stats/online_stats.h"
 #include "video/datasets.h"
 #include "video/render_features.h"
@@ -91,20 +93,26 @@ std::vector<float> RefFrameFeatures(const SyntheticVideo& video,
 }
 
 TEST(FrameFeaturesTest, FusedPathMatchesHistoricalReference) {
-  // Non-square grids exercise the fused kernel's row strides; sizes whose
-  // render is not a power of two pixels exercise the channel-mean
-  // division.
-  auto video = SyntheticVideo::Create(TaipeiConfig(), 1, 200).value();
+  // Every stream, so per-stream lighting (archie's day brightness jitter)
+  // and clutter are covered. Non-square grids exercise the fused kernel's
+  // row strides; sizes whose render is not a power of two pixels exercise
+  // the channel-mean division; 32x32 is the library's default raster.
   Image scratch;
-  for (auto [w, h] : {std::pair{16, 16}, {12, 20}, {7, 3}}) {
-    std::vector<float> row(static_cast<size_t>(w) * h * kFeatureChannels);
-    for (int64_t frame : {0, 63, 199}) {
-      std::vector<float> want = RefFrameFeatures(*video, frame, w, h);
-      RenderFrameFeatures(*video, frame, w, h, row.data(), &scratch);
-      ASSERT_EQ(want.size(), row.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(want[i], row[i])
-            << w << "x" << h << " frame " << frame << " index " << i;
+  for (const char* stream : {"taipei", "night-street", "rialto",
+                             "grand-canal", "amsterdam", "archie"}) {
+    auto video =
+        SyntheticVideo::Create(StreamConfigByName(stream).value(), 1, 200)
+            .value();
+    for (auto [w, h] : {std::pair{16, 16}, {32, 32}, {12, 20}, {7, 3}}) {
+      std::vector<float> row(static_cast<size_t>(w) * h * kFeatureChannels);
+      for (int64_t frame : {0, 63, 199}) {
+        std::vector<float> want = RefFrameFeatures(*video, frame, w, h);
+        RenderFrameFeatures(*video, frame, w, h, row.data(), &scratch);
+        ASSERT_EQ(want.size(), row.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(want[i], row[i]) << stream << " " << w << "x" << h
+                                     << " frame " << frame << " index " << i;
+        }
       }
     }
   }
@@ -135,6 +143,106 @@ TEST(FrameFeaturesTest, SizeAndDeterminism) {
   EXPECT_EQ(a, b);
   auto c = FrameFeatures(*video, 11, 16, 16);
   EXPECT_NE(a, c);
+}
+
+// An artifact cache that records the trained weights Train writes back
+// and misses every lookup, so inference always runs the kernels.
+class WeightRecordingCache : public ArtifactCache {
+ public:
+  bool GetFrameFloats(uint64_t, int64_t, std::vector<float>*) override {
+    return false;
+  }
+  void PutFrameFloats(uint64_t, int64_t, const std::vector<float>&) override {
+  }
+  bool GetFrameDoubles(uint64_t, int64_t, std::vector<double>*) override {
+    return false;
+  }
+  void PutFrameDoubles(uint64_t, int64_t,
+                       const std::vector<double>&) override {}
+  bool GetBlob(uint64_t, std::vector<float>*) override { return false; }
+  void PutBlob(uint64_t, const std::vector<float>& values) override {
+    weights = values;
+  }
+
+  std::vector<float> weights;
+};
+
+// Batched inference against an independent model: the weights Train
+// wrote back, applied to RefFrameFeatures by naive loops in the kernels'
+// per-cell order (ascending k, separate multiply and add, bias after the
+// product), then ReLU, Softmax and the expected count in double. 300
+// frames leave a partial last 256-frame batch; pool sizes 1 and 2 move
+// the batches across worker slots and their reused input matrices.
+TEST(SpecializedNNReferenceTest, InferenceMatchesNaiveModel) {
+  auto train_day =
+      SyntheticVideo::Create(ArchieConfig(), kTrainDaySeed, 1000).value();
+  auto test_day =
+      SyntheticVideo::Create(ArchieConfig(), kTestDaySeed, 300).value();
+  SimulatedDetector detector;
+  LabeledSet labels(train_day.get(), &detector, 0.5);
+  std::vector<int64_t> frames(300);
+  std::iota(frames.begin(), frames.end(), 0);
+  for (auto [grid, hidden] : {std::pair{16, 32}, {32, 64}}) {
+    WeightRecordingCache cache;
+    SpecializedNNConfig cfg;
+    cfg.raster_width = grid;
+    cfg.raster_height = grid;
+    cfg.hidden_dims = {hidden};
+    cfg.cache = &cache;
+    auto nn =
+        SpecializedNN::Train(*train_day, {labels.Counts(kCar)}, cfg).value();
+    const size_t in = static_cast<size_t>(grid) * grid * kFeatureChannels;
+    const size_t width = static_cast<size_t>(hidden);
+    const int classes = nn.head_classes(0);
+    // Trunk W [in, hidden] and b, then head W [hidden, classes] and b.
+    ASSERT_EQ(cache.weights.size(),
+              in * width + width + (width + 1) * static_cast<size_t>(classes));
+    const float* w1 = cache.weights.data();
+    const float* b1 = w1 + in * width;
+    const float* w2 = b1 + width;
+    const float* b2 = w2 + width * static_cast<size_t>(classes);
+
+    std::vector<float> want;
+    for (int64_t frame : frames) {
+      std::vector<float> x = RefFrameFeatures(*test_day, frame, grid, grid);
+      std::vector<float> act(width);
+      for (size_t j = 0; j < width; ++j) {
+        float sum = 0.0f;
+        for (size_t k = 0; k < in; ++k) sum += x[k] * w1[k * width + j];
+        sum += b1[j];
+        act[j] = sum > 0.0f ? sum : 0.0f;
+      }
+      Matrix logits(1, classes);
+      for (int c = 0; c < classes; ++c) {
+        float sum = 0.0f;
+        for (size_t j = 0; j < width; ++j) {
+          sum += act[j] * w2[j * static_cast<size_t>(classes) +
+                             static_cast<size_t>(c)];
+        }
+        logits.At(0, c) = sum + b2[c];
+      }
+      Matrix probs = Softmax(logits);
+      double expected = 0;
+      for (int c = 0; c < classes; ++c) {
+        expected += static_cast<double>(c) *
+                    static_cast<double>(probs.At(0, c));
+      }
+      want.push_back(static_cast<float>(expected));
+    }
+
+    for (int threads : {1, 2}) {
+      exec::ThreadPool::Instance().Reconfigure(threads);
+      std::vector<float> got = nn.ExpectedCountsForFrames(*test_day, frames);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(want[i], got[i]) << grid << "x" << grid << " hidden "
+                                   << hidden << " pool " << threads
+                                   << " frame " << frames[i];
+      }
+    }
+  }
+  exec::ThreadPool::Instance().Reconfigure(
+      exec::ThreadPool::ThreadsFromEnv());
 }
 
 class SpecializedNNTest : public ::testing::Test {

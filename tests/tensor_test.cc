@@ -26,6 +26,12 @@ TEST(MatrixTest, Accessors) {
   EXPECT_FLOAT_EQ(m.Row(1)[2], 5.0f);
   m.Zero();
   EXPECT_FLOAT_EQ(m.At(1, 2), 0.0f);
+  m.Resize(3, 4);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 4);
+  EXPECT_EQ(m.data().size(), 12u);
+  m.At(2, 3) = 7.0f;
+  EXPECT_FLOAT_EQ(m.Row(2)[3], 7.0f);
   EXPECT_TRUE(Matrix().Empty());
 }
 
@@ -93,7 +99,11 @@ TEST(MatMulDeathTest, TransposeBMismatchAborts) {
 // The dispatched (possibly AVX-512) kernels must be bit-identical to the
 // scalar fallbacks — the persistent artifact store replays NN outputs
 // across machines with different ISAs. Shapes cover SIMD tile tails
-// (n % 16, m % 4) and exact-zero coefficients (ReLU activations).
+// (n % 16, row tails of the 4- and 8-row blocks), one to four live
+// column tiles, exact-zero coefficients (ReLU activations), and the
+// shapes the engine runs: the small NN's trunk (which crosses the
+// sharding threshold), a training step, a count head, and their
+// weight gradients.
 class MatMulParityTest : public ::testing::Test {
  protected:
   static Matrix RandomMatrix(Rng* rng, int rows, int cols,
@@ -118,9 +128,11 @@ class MatMulParityTest : public ::testing::Test {
 
 TEST_F(MatMulParityTest, MatMulMatchesScalar) {
   Rng rng(21);
-  constexpr int kShapes[][3] = {{1, 1, 1},   {2, 3, 4},    {4, 16, 16},
-                                {5, 7, 3},   {7, 33, 17},  {8, 64, 64},
-                                {9, 100, 65}, {16, 256, 8}};
+  constexpr int kShapes[][3] = {
+      {1, 1, 1},      {2, 3, 4},       {4, 16, 16},  {5, 7, 3},
+      {7, 33, 17},    {8, 64, 64},     {9, 100, 65}, {16, 256, 8},
+      {256, 1024, 32}, {16, 1024, 32}, {256, 32, 5}, {11, 20, 48},
+      {13, 40, 32},   {15, 1024, 32}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, m, k, zf);
@@ -137,9 +149,10 @@ TEST_F(MatMulParityTest, MatMulMatchesScalar) {
 
 TEST_F(MatMulParityTest, TransposeAMatchesScalar) {
   Rng rng(22);
-  constexpr int kShapes[][3] = {{1, 1, 1},  {3, 2, 4},   {16, 4, 16},
-                                {7, 5, 3},  {33, 7, 17}, {64, 8, 64},
-                                {100, 9, 65}};
+  constexpr int kShapes[][3] = {
+      {1, 1, 1},    {3, 2, 4},     {16, 4, 16},  {7, 5, 3},
+      {33, 7, 17},  {64, 8, 64},   {100, 9, 65}, {1024, 16, 32},
+      {32, 16, 5},  {13, 16, 48}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, k, m, zf);
