@@ -87,6 +87,22 @@ if [[ -x "${STORECLI}" ]]; then
   "${STORECLI}" sketch verify "${STORE_DIR}"
   "${STORECLI}" verify "${STORE_DIR}"
 
+  # Compact and repair the warm store, then verify it again: compaction
+  # must leave no shadowed duplicate, repair must find nothing to drop in
+  # a store this build wrote, and sketches and CRCs must still verify.
+  # The query and serve smokes below then read a compacted store. Gating.
+  echo "==> storecli: compact + repair + re-verify on the warm store"
+  "${STORECLI}" compact "${STORE_DIR}"
+  STATS_OUT="$("${STORECLI}" stats "${STORE_DIR}")"
+  grep -qF ', 0 shadowed duplicates)' <<< "${STATS_OUT}" \
+    || { echo "==> FAIL: compact left shadowed duplicates: ${STATS_OUT}" >&2; exit 1; }
+  REPAIR_OUT="$("${STORECLI}" repair "${STORE_DIR}")"
+  echo "${REPAIR_OUT}"
+  grep -qF ', 0 malformed records dropped' <<< "${REPAIR_OUT}" \
+    || { echo "==> FAIL: repair dropped records: ${REPAIR_OUT}" >&2; exit 1; }
+  "${STORECLI}" sketch verify "${STORE_DIR}"
+  "${STORECLI}" verify "${STORE_DIR}"
+
   # Store read-through smoke: building the same 50 frames twice into a
   # fresh store must compute them once, then read every one back through
   # the store-backed CachedDetector. Gating.

@@ -29,11 +29,6 @@ int64_t SharedSweepCache::frame_float_records() const {
   return static_cast<int64_t>(floats_.size());
 }
 
-int64_t SharedSweepCache::frame_double_records() const {
-  util::MutexLock lock(mu_);
-  return static_cast<int64_t>(doubles_.size());
-}
-
 int64_t SharedSweepCache::blob_records() const {
   util::MutexLock lock(mu_);
   return static_cast<int64_t>(blobs_.size());

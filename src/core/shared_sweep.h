@@ -39,7 +39,6 @@ class SharedSweepCache {
 
   /// Resident record counts (diagnostics; storecli-style reporting).
   int64_t frame_float_records() const BLAZEIT_EXCLUDES(mu_);
-  int64_t frame_double_records() const BLAZEIT_EXCLUDES(mu_);
   int64_t blob_records() const BLAZEIT_EXCLUDES(mu_);
 
  private:

@@ -28,8 +28,6 @@ thread_local bool t_inside_shard = false;
 struct ThreadPool::Job {
   int64_t num_shards = 0;
   const std::function<void(int64_t, int)>* fn = nullptr;
-  /// Worker-cap class this job is charged against (see Budget).
-  Budget budget = Budget::kDefault;
   /// Next shard to claim; claims past num_shards mean the job is drained.
   std::atomic<int64_t> next{0};
   /// Shards finished (or abandoned); the job completes at num_shards.
@@ -57,13 +55,9 @@ struct ThreadPool::Impl {
   /// and the const sizing accessors, so deliberately not guarded.
   std::vector<std::thread> workers;
   bool shutting_down BLAZEIT_GUARDED_BY(mu) = false;
-  /// Per-budget worker caps (<= 0 = unlimited) and how many workers are
-  /// currently attached to jobs of each class.
-  int budget_limit[kNumBudgets] BLAZEIT_GUARDED_BY(mu) = {0, 0, 0};
-  int budget_active[kNumBudgets] BLAZEIT_GUARDED_BY(mu) = {0, 0, 0};
 
-  /// Next runnable job under the budget caps; erases drained jobs
-  /// encountered during the scan.
+  /// Oldest job with unclaimed shards; erases drained jobs encountered
+  /// during the scan.
   Job* PickJobLocked() BLAZEIT_REQUIRES(mu);
 };
 
@@ -114,21 +108,15 @@ void ThreadPool::Reconfigure(int threads) {
 }
 
 ThreadPool::Job* ThreadPool::Impl::PickJobLocked() {
-  for (auto it = queue.begin(); it != queue.end();) {
-    Job* job = *it;
-    if (job->next.load(std::memory_order_relaxed) >= job->num_shards) {
-      // Drained: every shard is claimed (though maybe still running).
-      // Drop it so later scans skip it; the owner's unlink tolerates the
-      // job already being gone from the queue.
-      it = queue.erase(it);
-      continue;
+  while (!queue.empty()) {
+    Job* job = queue.front();
+    if (job->next.load(std::memory_order_relaxed) < job->num_shards) {
+      return job;
     }
-    const int b = static_cast<int>(job->budget);
-    if (budget_limit[b] > 0 && budget_active[b] >= budget_limit[b]) {
-      ++it;  // class at its worker cap; look for other-class work
-      continue;
-    }
-    return job;
+    // Drained: every shard is claimed (though maybe still running). Drop
+    // it so later scans skip it; the owner's unlink tolerates the job
+    // already being gone from the queue.
+    queue.pop_front();
   }
   return nullptr;
 }
@@ -136,7 +124,6 @@ ThreadPool::Job* ThreadPool::Impl::PickJobLocked() {
 void ThreadPool::WorkerLoop(int slot) {
   for (;;) {
     Job* job = nullptr;
-    int budget_idx = 0;
     {
       util::MutexLock lock(impl_->mu);
       impl_->work_available.Wait(
@@ -148,20 +135,9 @@ void ThreadPool::WorkerLoop(int slot) {
       if (impl_->shutting_down) return;
       // Registered under the queue lock: the owner unlinks the job under
       // this same lock before freeing it, so attach-or-miss is atomic.
-      // The budget charge rides the same lock so caps are never oversubscribed.
-      budget_idx = static_cast<int>(job->budget);
-      ++impl_->budget_active[budget_idx];
       job->active_workers.fetch_add(1, std::memory_order_relaxed);
     }
     WorkOn(job, slot);
-    {
-      // Release the budget slot and wake workers parked on a capped
-      // class before detaching from the job (the two waits are separate
-      // condition variables).
-      util::MutexLock lock(impl_->mu);
-      --impl_->budget_active[budget_idx];
-    }
-    impl_->work_available.NotifyAll();
     {
       // Detach *under the job mutex* and notify before releasing it: the
       // owner's wait predicate requires active_workers == 0, so if the
@@ -208,29 +184,8 @@ void ThreadPool::WorkOn(Job* job, int slot) {
   }
 }
 
-void ThreadPool::SetBudgetLimit(Budget budget, int max_workers) {
-  {
-    util::MutexLock lock(impl_->mu);
-    impl_->budget_limit[static_cast<int>(budget)] =
-        max_workers < 0 ? 0 : max_workers;
-  }
-  // Raising (or clearing) a cap can make parked work runnable.
-  impl_->work_available.NotifyAll();
-}
-
-int ThreadPool::BudgetLimit(Budget budget) const {
-  util::MutexLock lock(impl_->mu);
-  return impl_->budget_limit[static_cast<int>(budget)];
-}
-
 void ThreadPool::RunShards(
     int64_t num_shards, const std::function<void(int64_t shard, int slot)>& fn) {
-  RunShards(num_shards, fn, Budget::kDefault);
-}
-
-void ThreadPool::RunShards(
-    int64_t num_shards, const std::function<void(int64_t shard, int slot)>& fn,
-    Budget budget) {
   if (num_shards <= 0) return;
 
   // Call and shard counts are deterministic functions of the work (shard
@@ -268,7 +223,6 @@ void ThreadPool::RunShards(
   Job job;
   job.num_shards = num_shards;
   job.fn = &fn;
-  job.budget = budget;
   {
     util::MutexLock lock(impl_->mu);
     impl_->queue.push_back(&job);

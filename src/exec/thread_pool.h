@@ -28,24 +28,6 @@ namespace exec {
 /// tests/parallel_determinism_test.cc).
 class ThreadPool {
  public:
-  /// Sub-pool budget classes (Polynesia-style isolation): jobs are tagged
-  /// with the kind of work they carry so worker help can be capped per
-  /// class — a long analytics run (batch NN training) then cannot occupy
-  /// every worker and starve latency-sensitive serving jobs. The caller
-  /// always executes its own job regardless of budgets (slot 0), so a
-  /// class is never starved below one lane and budgets can only change
-  /// scheduling, never outputs.
-  enum class Budget {
-    kDefault = 0,
-    /// Latency-sensitive work admitted by serve::AdmissionQueue.
-    kServing,
-    /// Throughput-oriented work (training sweeps, ingest). No engine path
-    /// tags its jobs with this class yet; it is kept for measuring caps
-    /// under real multi-core contention.
-    kAnalytics,
-  };
-  static constexpr int kNumBudgets = 3;
-
   /// The singleton, created on first use with the BLAZEIT_THREADS sizing.
   static ThreadPool& Instance();
 
@@ -84,20 +66,6 @@ class ThreadPool {
   /// rather than deadlocking on the already-busy pool.
   void RunShards(int64_t num_shards,
                  const std::function<void(int64_t shard, int slot)>& fn);
-
-  /// As above, with the job tagged for `budget`'s worker cap. The default
-  /// overload runs under Budget::kDefault (unlimited unless capped).
-  void RunShards(int64_t num_shards,
-                 const std::function<void(int64_t shard, int slot)>& fn,
-                 Budget budget);
-
-  /// Caps how many pool *workers* may concurrently help jobs tagged with
-  /// `budget` (<= 0 restores unlimited, the default). The submitting
-  /// caller is never counted against the cap, so every job keeps at least
-  /// one lane of progress. Scheduling-only: shard outputs are written to
-  /// per-shard slots, so budgets cannot change result bits.
-  void SetBudgetLimit(Budget budget, int max_workers);
-  int BudgetLimit(Budget budget) const;
 
   /// Parallelism requested by the environment (BLAZEIT_THREADS, falling
   /// back to hardware_concurrency). Exposed for tests of the knob parsing.

@@ -407,14 +407,6 @@ double SpecializedNN::ExpectedCount(const SyntheticVideo& video,
   return expected;
 }
 
-int SpecializedNN::PredictCount(const SyntheticVideo& video, int64_t frame,
-                                int head) const {
-  std::vector<std::vector<float>> probs = PredictProbs(video, frame);
-  const std::vector<float>& p = probs[static_cast<size_t>(head)];
-  return static_cast<int>(
-      std::max_element(p.begin(), p.end()) - p.begin());
-}
-
 std::vector<float> SpecializedNN::ExpectedCountsForFrames(
     const SyntheticVideo& video, const std::vector<int64_t>& frames,
     int head) const {

@@ -82,10 +82,6 @@ class SpecializedNN {
   double ExpectedCount(const SyntheticVideo& video, int64_t frame,
                        int head = 0) const;
 
-  /// Most likely count (argmax over the head's classes).
-  int PredictCount(const SyntheticVideo& video, int64_t frame,
-                   int head = 0) const;
-
   /// Importance-sampling signal for scrubbing (Section 7): the sum over
   /// heads of P(count >= min_counts[h]). Higher means the frame more
   /// likely satisfies the conjunctive "at least N of each class" predicate.

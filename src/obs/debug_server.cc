@@ -141,14 +141,8 @@ Status DebugServer::Start() {
                      net::JsonEscape(BuildInfo()).c_str(), UptimeSeconds());
   }));
   tokens_.push_back(registry.AddSection("exec", [] {
-    exec::ThreadPool& pool = exec::ThreadPool::Instance();
-    return StrFormat(
-        "{\"max_parallelism\":%d,\"budgets\":{\"default\":%d,"
-        "\"serving\":%d,\"analytics\":%d}}",
-        pool.max_parallelism(),
-        pool.BudgetLimit(exec::ThreadPool::Budget::kDefault),
-        pool.BudgetLimit(exec::ThreadPool::Budget::kServing),
-        pool.BudgetLimit(exec::ThreadPool::Budget::kAnalytics));
+    return StrFormat("{\"max_parallelism\":%d}",
+                     exec::ThreadPool::Instance().max_parallelism());
   }));
   tokens_.push_back(registry.AddSection("obs", [] {
     const FlightRecorder& recorder = FlightRecorder::Global();

@@ -86,10 +86,9 @@ class StatusRegistry {
 ///              (obs::FlightRecorder::Global)
 ///
 /// The server contributes its own sections: "process" (build info,
-/// uptime), "exec" (pool size and sub-pool budgets), and "obs" (flight
-/// recorder occupancy). It runs entirely on its own small net worker
-/// pool and only ever *reads* telemetry, so it is output-neutral by
-/// construction.
+/// uptime), "exec" (pool size), and "obs" (flight recorder occupancy).
+/// It runs entirely on its own small net worker pool and only ever
+/// *reads* telemetry, so it is output-neutral by construction.
 class DebugServer {
  public:
   struct Options {

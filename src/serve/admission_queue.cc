@@ -69,13 +69,11 @@ obs::Histogram* AdmissionLatencyHistogram() {
 AdmissionQueue::AdmissionQueue(BlazeItEngine* engine, ServeOptions options)
     : engine_(engine), options_(options) {
   statusz_token_ = obs::StatusRegistry::Global().AddSection("serve", [this] {
-    ThreadPool& p = ThreadPool::Instance();
     util::MutexLock lock(mu_);
     std::string out = StrFormat(
         "{\"options\":{\"window_ticks\":%lld,\"max_queue_depth\":%lld,"
         "\"per_client_quota\":%lld,\"shed_depth\":%lld,"
         "\"wall_clock_tick_ms\":%lld},\"clock\":%lld,\"queue_depth\":%zu,"
-        "\"budgets\":{\"serving\":%d,\"analytics\":%d},"
         "\"stats\":{\"submitted\":%lld,\"rejected_queue_full\":%lld,"
         "\"rejected_quota\":%lld,\"shed\":%lld,\"cancelled\":%lld,"
         "\"batches\":%lld,\"groups\":%lld,\"coalesced_queries\":%lld,"
@@ -87,8 +85,6 @@ AdmissionQueue::AdmissionQueue(BlazeItEngine* engine, ServeOptions options)
         static_cast<long long>(options_.shed_depth),
         static_cast<long long>(options_.wall_clock_tick_ms),
         static_cast<long long>(clock_), pending_.size(),
-        p.BudgetLimit(ThreadPool::Budget::kServing),
-        p.BudgetLimit(ThreadPool::Budget::kAnalytics),
         static_cast<long long>(stats_.submitted),
         static_cast<long long>(stats_.rejected_queue_full),
         static_cast<long long>(stats_.rejected_quota),
@@ -424,8 +420,7 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
           resp.output = std::move(result);
           Deliver(std::move(resp), MsSince(batch_started));
         }
-      },
-      ThreadPool::Budget::kServing);
+      });
 
   // Cumulative coalescing accounting, folded serially in window order:
   // which groups spanned clients, and how much charged NN work the shared

@@ -365,6 +365,27 @@ bool DetectionStore::Contains(uint64_t ns, int64_t frame) const {
          it->second.disk_index.count(frame) > 0;
 }
 
+std::vector<int64_t> DetectionStore::ResolvedFrames(const Shard& shard) {
+  std::vector<int64_t> frames;
+  frames.reserve(shard.disk_index.size() + shard.pending.size());
+  for (const auto& [frame, _] : shard.disk_index) frames.push_back(frame);
+  for (const auto& [frame, _] : shard.pending) {
+    if (shard.disk_index.count(frame) == 0) frames.push_back(frame);
+  }
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+std::optional<Result<std::string>> DetectionStore::ReadResolved(
+    const Shard& shard, int64_t frame) {
+  auto pending = shard.pending.find(frame);
+  if (pending != shard.pending.end()) return pending->second;
+  auto disk = shard.disk_index.find(frame);
+  if (disk == shard.disk_index.end()) return std::nullopt;
+  const auto& [segment_index, offset] = disk->second;
+  return shard.segments[segment_index]->ReadPayloadAt(offset);
+}
+
 Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
   // Shared lock: lookups race only with other lookups (the common case —
   // parallel frame scans all reading one warm store); the per-segment
@@ -372,12 +393,8 @@ Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
   util::ReaderLock lock(mu_);
   auto it = shards_.find(ns);
   if (it != shards_.end()) {
-    auto pending = it->second.pending.find(frame);
-    if (pending != it->second.pending.end()) return pending->second;
-    auto disk = it->second.disk_index.find(frame);
-    if (disk != it->second.disk_index.end()) {
-      return it->second.segments[disk->second.first]->ReadPayloadAt(
-          disk->second.second);
+    if (auto payload = ReadResolved(it->second, frame)) {
+      return std::move(*payload);
     }
   }
   return Status::NotFound(
@@ -467,14 +484,8 @@ Status DetectionStore::Scan(
     util::ReaderLock lock(mu_);
     auto it = shards_.find(ns);
     if (it == shards_.end()) return Status::OK();
-    const Shard& shard = it->second;
-    frames.reserve(shard.disk_index.size() + shard.pending.size());
-    for (const auto& [frame, _] : shard.disk_index) frames.push_back(frame);
-    for (const auto& [frame, _] : shard.pending) {
-      if (shard.disk_index.count(frame) == 0) frames.push_back(frame);
-    }
+    frames = ResolvedFrames(it->second);
   }
-  std::sort(frames.begin(), frames.end());
   for (int64_t frame : frames) {
     auto payload = GetRaw(ns, frame);
     if (!payload.ok()) return payload.status();
@@ -522,56 +533,54 @@ Status DetectionStore::Flush() {
 }
 
 Status DetectionStore::FlushLocked() {
-  // Snapshot the dirty namespaces first: the sketch refresh below mutates
+  // Snapshot the dirty namespaces first: the sketch rebuild below mutates
   // sketch shards while we would otherwise still be iterating shards_.
-  // For indexed namespaces, also record what the pending set looks like
-  // relative to disk *before* the flush folds it in — an append-only
-  // flush lets the sketch refresh rebuild just the tail block.
   std::vector<uint64_t> dirty;
-  std::map<uint64_t, SketchRefreshHint> hints;
   for (const auto& [ns, shard] : shards_) {
-    if (shard.pending.empty()) continue;
-    dirty.push_back(ns);
-    if (shards_.count(SketchNamespace(ns)) == 0) continue;
-    SketchRefreshHint hint;
-    hint.prior_count = static_cast<int64_t>(shard.disk_index.size());
-    for (const auto& [frame, _] : shard.disk_index) {
-      hint.prior_max = std::max(hint.prior_max, frame);
-    }
-    hint.append_only = hint.prior_max >= 0;
-    for (const auto& [frame, _] : shard.pending) {
-      if (frame <= hint.prior_max) {
-        hint.append_only = false;
-        break;
-      }
-    }
-    hints.emplace(ns, hint);
+    if (!shard.pending.empty()) dirty.push_back(ns);
   }
+  static obs::Counter* flushes = obs::MetricsRegistry::Global().GetCounter(
+      "store.segment_flushes", obs::Stability::kStable);
   for (uint64_t ns : dirty) {
-    BLAZEIT_RETURN_NOT_OK(FlushShardLocked(ns, &shards_.at(ns)));
+    BLAZEIT_RETURN_NOT_OK(
+        PublishSegmentLocked(ns, &shards_.at(ns), /*replace=*/false));
+    flushes->Add();
   }
   // Eager sketch maintenance: a namespace is indexed iff its sketch shard
   // exists, and new base records make those sketches stale (Load would
-  // reject them by record count), so refresh in the same flush.
+  // reject them by record count), so rebuild them in the same flush.
   for (uint64_t ns : dirty) {
     if (shards_.count(SketchNamespace(ns)) > 0) {
-      auto hint = hints.find(ns);
-      BLAZEIT_RETURN_NOT_OK(RefreshSketchesLocked(
-          ns, hint != hints.end() ? &hint->second : nullptr));
+      BLAZEIT_RETURN_NOT_OK(RebuildSketchesLocked(ns));
     }
   }
   return Status::OK();
 }
 
-Status DetectionStore::FlushShardLocked(uint64_t ns, Shard* shard) {
-  if (shard->pending.empty()) return Status::OK();
-  ++flush_counter_;
-  const std::string final_path = NewSegmentPath(ns);
+Status DetectionStore::PublishSegmentLocked(uint64_t ns, Shard* shard,
+                                            bool replace) {
+  // A replacement is named at the next repair generation, so it wins
+  // first-write-wins over every segment it supersedes even when one of
+  // them outlives its unlink.
+  if (!replace) ++flush_counter_;
+  const std::string final_path =
+      replace ? RepairSegmentPath(ns, ++shard->repair_generation)
+              : NewSegmentPath(ns);
   const std::string tmp_path = final_path + ".tmp";
   auto writer = StoreWriter::Create(tmp_path, ns);
   if (!writer.ok()) return writer.status();
-  for (const auto& [frame, payload] : shard->pending) {
-    BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload));
+  if (replace) {
+    // The resolved view: pending overriding disk, exactly what GetRaw
+    // serves.
+    for (int64_t frame : ResolvedFrames(*shard)) {
+      auto payload = ReadResolved(*shard, frame);
+      if (!payload->ok()) return payload->status();
+      BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload->value()));
+    }
+  } else {
+    for (const auto& [frame, payload] : shard->pending) {
+      BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload));
+    }
   }
   BLAZEIT_RETURN_NOT_OK(writer.value()->Close());
   std::error_code ec;
@@ -581,13 +590,21 @@ Status DetectionStore::FlushShardLocked(uint64_t ns, Shard* shard) {
         StrFormat("cannot publish store segment '%s': %s",
                   final_path.c_str(), ec.message().c_str()));
   }
-  // Fold the new segment into the disk index from the offsets the writer
-  // tracked — this process just wrote and checksummed every record, so
-  // re-reading the file to index it (the common case being the
-  // destructor flush at suite exit) would be pure waste.
-  auto reader = StoreReader::Open(final_path, ns,
-                                  /*validate_records=*/false);
+  // Index the new segment from the offsets the writer tracked — this
+  // process just wrote and checksummed every record, so re-reading the
+  // file to index it (the common case being the destructor flush at suite
+  // exit) would be pure waste.
+  auto reader = StoreReader::Open(final_path, ns, /*validate_records=*/false);
   if (!reader.ok()) return reader.status();
+  std::vector<std::string> old_paths;
+  if (replace) {
+    for (const auto& segment : shard->segments) {
+      old_paths.push_back(segment->path());
+    }
+    shard->segments.clear();
+    shard->disk_index.clear();
+    shard->shadowed = 0;
+  }
   const size_t segment_index = shard->segments.size();
   for (const auto& [frame, offset] : writer.value()->record_offsets()) {
     shard->disk_index.emplace(frame, std::make_pair(segment_index, offset));
@@ -595,88 +612,23 @@ Status DetectionStore::FlushShardLocked(uint64_t ns, Shard* shard) {
   shard->segments.push_back(std::move(reader).value());
   pending_records_ -= static_cast<int64_t>(shard->pending.size());
   shard->pending.clear();
-  static obs::Counter* flushes = obs::MetricsRegistry::Global().GetCounter(
-      "store.segment_flushes", obs::Stability::kStable);
-  flushes->Add();
-  return Status::OK();
-}
-
-Status DetectionStore::RewriteShardLocked(uint64_t ns, Shard* shard,
-                                          bool validate_payloads) {
-  // Resolved frame list: disk winners plus pending, pending overriding
-  // disk on collision — exactly what GetRaw serves (it reads pending
-  // first). Regular Puts never create such a collision; Repair does.
-  std::vector<int64_t> frames;
-  frames.reserve(shard->disk_index.size() + shard->pending.size());
-  for (const auto& [frame, _] : shard->disk_index) frames.push_back(frame);
-  for (const auto& [frame, _] : shard->pending) {
-    if (shard->disk_index.count(frame) == 0) frames.push_back(frame);
-  }
-  std::sort(frames.begin(), frames.end());
-
-  const std::string final_path =
-      RepairSegmentPath(ns, ++shard->repair_generation);
-  const std::string tmp_path = final_path + ".tmp";
-  auto writer = StoreWriter::Create(tmp_path, ns);
-  if (!writer.ok()) return writer.status();
-  int64_t undecodable_dropped = 0;
-  for (int64_t frame : frames) {
-    auto pending = shard->pending.find(frame);
-    if (pending != shard->pending.end()) {
-      BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, pending->second));
-      continue;
-    }
-    const auto& [segment_index, offset] = shard->disk_index.at(frame);
-    auto payload = shard->segments[segment_index]->ReadPayloadAt(offset);
-    if (!payload.ok()) return payload.status();
-    // Since the whole namespace is being rewritten anyway, heal it in one
-    // pass: any other record that decodes under no engine codec would
-    // just trigger another full rewrite when it is next read, so drop it
-    // now (it becomes a plain miss and is recomputed once).
-    if (validate_payloads && !PayloadDecodes(payload.value())) {
-      ++undecodable_dropped;
-      continue;
-    }
-    BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload.value()));
-  }
-  if (undecodable_dropped > 0) {
-    BLAZEIT_LOG(kWarning) << "namespace rewrite dropped "
-                          << undecodable_dropped
-                          << " undecodable record(s); they will be "
-                             "recomputed on next use";
-  }
-  BLAZEIT_RETURN_NOT_OK(writer.value()->Close());
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::Internal(
-        StrFormat("cannot publish rewritten segment '%s': %s",
-                  final_path.c_str(), ec.message().c_str()));
-  }
-
-  std::vector<std::string> old_paths;
-  old_paths.reserve(shard->segments.size());
-  for (const auto& segment : shard->segments) {
-    old_paths.push_back(segment->path());
-  }
-
-  auto reader = StoreReader::Open(final_path, ns, /*validate_records=*/false);
-  if (!reader.ok()) return reader.status();
-  pending_records_ -= static_cast<int64_t>(shard->pending.size());
-  shard->pending.clear();
-  shard->segments.clear();
-  shard->disk_index.clear();
-  shard->shadowed = 0;
-  for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-    shard->disk_index.emplace(frame, std::make_pair(size_t{0}, offset));
-  }
-  shard->segments.push_back(std::move(reader).value());
-
   // Old segments hold only payloads the new segment supersedes; removal
   // failures are non-fatal (the new segment's name sorts first, so its
   // records keep winning) but stay tracked for retry.
-  RemoveSegmentsOrStrand(std::move(old_paths), &shard->stranded);
+  if (replace) RemoveSegmentsOrStrand(std::move(old_paths), &shard->stranded);
   return Status::OK();
+}
+
+Result<int64_t> DetectionStore::DropUndecodableLocked(Shard* shard) {
+  std::vector<int64_t> drop;
+  for (const auto& [frame, _] : shard->disk_index) {
+    if (shard->pending.count(frame) > 0) continue;  // overridden, never read
+    auto payload = ReadResolved(*shard, frame);
+    if (!payload->ok()) return payload->status();
+    if (!PayloadDecodes(payload->value())) drop.push_back(frame);
+  }
+  for (int64_t frame : drop) shard->disk_index.erase(frame);
+  return static_cast<int64_t>(drop.size());
 }
 
 Status DetectionStore::ReplaceNamespaceLocked(
@@ -690,48 +642,21 @@ Status DetectionStore::ReplaceNamespaceLocked(
   // shard.segments, so the rewrite removes (or strands-and-retries) them.
   shard.disk_index.clear();
   shard.shadowed = 0;
-  return RewriteShardLocked(ns, &shard, /*validate_payloads=*/false);
+  return PublishSegmentLocked(ns, &shard, /*replace=*/true);
 }
-
-namespace {
-
-/// Sketch blocks encoded per refresh, full or incremental — the signal
-/// the incremental path exists to shrink: an append-only flush should
-/// move this by ~1 tail block, not by the whole namespace.
-obs::Counter* SketchBlocksRebuiltCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "store.sketch_blocks_rebuilt", obs::Stability::kStable);
-  return counter;
-}
-
-}  // namespace
 
 Status DetectionStore::RebuildSketchesLocked(uint64_t base_ns) {
   SketchBuilder builder;
   int64_t base_records = 0;
   auto base_it = shards_.find(base_ns);
   if (base_it != shards_.end()) {
-    Shard& shard = base_it->second;
-    std::vector<int64_t> frames;
-    frames.reserve(shard.disk_index.size() + shard.pending.size());
-    for (const auto& [frame, _] : shard.disk_index) frames.push_back(frame);
-    for (const auto& [frame, _] : shard.pending) {
-      if (shard.disk_index.count(frame) == 0) frames.push_back(frame);
-    }
-    std::sort(frames.begin(), frames.end());
+    const Shard& shard = base_it->second;
+    const std::vector<int64_t> frames = ResolvedFrames(shard);
     base_records = static_cast<int64_t>(frames.size());
     for (int64_t frame : frames) {
-      auto pending = shard.pending.find(frame);
-      std::string payload;
-      if (pending != shard.pending.end()) {
-        payload = pending->second;
-      } else {
-        const auto& [segment_index, offset] = shard.disk_index.at(frame);
-        auto read = shard.segments[segment_index]->ReadPayloadAt(offset);
-        if (!read.ok()) return read.status();
-        payload = std::move(read).value();
-      }
-      auto detections = DecodeDetectionsPayload(payload);
+      auto payload = ReadResolved(shard, frame);
+      if (!payload->ok()) return payload->status();
+      auto detections = DecodeDetectionsPayload(payload->value());
       if (!detections.ok()) {
         return Status::InvalidArgument(StrFormat(
             "namespace %016llx is not a detections namespace (frame %lld: "
@@ -756,113 +681,6 @@ Status DetectionStore::RebuildSketchesLocked(uint64_t base_ns) {
   static obs::Counter* rebuilds = obs::MetricsRegistry::Global().GetCounter(
       "store.sketch_rebuilds", obs::Stability::kStable);
   rebuilds->Add();
-  SketchBlocksRebuiltCounter()->Add(static_cast<int64_t>(blocks.size()));
-  return ReplaceNamespaceLocked(SketchNamespace(base_ns), std::move(records));
-}
-
-Status DetectionStore::RefreshSketchesLocked(uint64_t base_ns,
-                                             const SketchRefreshHint* hint) {
-  if (hint == nullptr || !hint->append_only || hint->prior_count == 0) {
-    return RebuildSketchesLocked(base_ns);
-  }
-  auto sketch_it = shards_.find(SketchNamespace(base_ns));
-  auto base_it = shards_.find(base_ns);
-  if (sketch_it == shards_.end() || base_it == shards_.end()) {
-    return RebuildSketchesLocked(base_ns);
-  }
-  Shard& sketch_shard = sketch_it->second;
-  Shard& base_shard = base_it->second;
-
-  // The resolved read GetRaw would serve (pending first, then disk).
-  auto read_resolved = [](Shard& shard,
-                          int64_t frame) -> Result<std::string> {
-    auto pending = shard.pending.find(frame);
-    if (pending != shard.pending.end()) return pending->second;
-    auto disk = shard.disk_index.find(frame);
-    if (disk == shard.disk_index.end()) {
-      return Status::NotFound("no such sketch record");
-    }
-    const auto& [segment_index, offset] = disk->second;
-    return shard.segments[segment_index]->ReadPayloadAt(offset);
-  };
-
-  // The shortcut is only sound against a sketch that was *current* before
-  // this flush: its meta must match the pre-flush record count exactly.
-  // Anything else (undecodable meta, staleness, foreign namespace) gets
-  // the full rebuild, which is always correct.
-  auto meta_payload = read_resolved(sketch_shard, kSketchMetaFrame);
-  if (!meta_payload.ok()) return RebuildSketchesLocked(base_ns);
-  auto meta = DecodeSketchMetaPayload(meta_payload.value());
-  if (!meta.ok() || meta.value().base_ns != base_ns ||
-      meta.value().base_record_count != hint->prior_count ||
-      meta.value().block_count <= 0) {
-    return RebuildSketchesLocked(base_ns);
-  }
-
-  // Each block's sketch is a pure function of its own block's records, so
-  // an append past prior_max can only change blocks at or after the old
-  // tail block. Copy everything before it forward without decoding.
-  const int64_t tail_start =
-      (hint->prior_max / kSketchBlockFrames) * kSketchBlockFrames;
-  std::map<int64_t, std::string> records;
-  for (const auto& [frame, payload] : sketch_shard.pending) {
-    if (frame == kSketchMetaFrame || frame >= tail_start) continue;
-    records.emplace(frame, payload);
-  }
-  for (const auto& [frame, loc] : sketch_shard.disk_index) {
-    if (frame == kSketchMetaFrame || frame >= tail_start) continue;
-    if (records.count(frame) > 0) continue;
-    auto payload = sketch_shard.segments[loc.first]->ReadPayloadAt(loc.second);
-    if (!payload.ok()) return RebuildSketchesLocked(base_ns);
-    records.emplace(frame, std::move(payload).value());
-  }
-
-  // Rebuild the tail from the base records at/after tail_start; feeding
-  // the builder a block's full record set in ascending frame order is
-  // exactly what the full rebuild does for that block.
-  std::vector<int64_t> tail_frames;
-  int64_t base_records = static_cast<int64_t>(base_shard.disk_index.size());
-  for (const auto& [frame, _] : base_shard.disk_index) {
-    if (frame >= tail_start) tail_frames.push_back(frame);
-  }
-  for (const auto& [frame, _] : base_shard.pending) {
-    if (base_shard.disk_index.count(frame) == 0) {
-      ++base_records;
-      if (frame >= tail_start) tail_frames.push_back(frame);
-    }
-  }
-  std::sort(tail_frames.begin(), tail_frames.end());
-  SketchBuilder builder;
-  for (int64_t frame : tail_frames) {
-    auto payload = read_resolved(base_shard, frame);
-    if (!payload.ok()) return payload.status();
-    auto detections = DecodeDetectionsPayload(payload.value());
-    if (!detections.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "namespace %016llx is not a detections namespace (frame %lld: "
-          "%s); only detection namespaces can be sketched",
-          static_cast<unsigned long long>(base_ns),
-          static_cast<long long>(frame),
-          detections.status().message().c_str()));
-    }
-    builder.Add(frame, detections.value());
-  }
-  std::vector<SegmentSketch> blocks = builder.Finish();
-  for (const SegmentSketch& block : blocks) {
-    records.emplace(block.first_frame, EncodeSegmentSketchPayload(block));
-  }
-
-  SketchMeta new_meta;
-  new_meta.base_ns = base_ns;
-  new_meta.base_record_count = base_records;
-  new_meta.block_count = static_cast<int64_t>(records.size());
-  records.emplace(kSketchMetaFrame, EncodeSketchMetaPayload(new_meta));
-
-  static obs::Counter* incremental =
-      obs::MetricsRegistry::Global().GetCounter(
-          "store.sketch_incremental_refreshes", obs::Stability::kStable);
-  incremental->Add();
-  SketchBlocksRebuiltCounter()->Add(static_cast<int64_t>(blocks.size()));
   return ReplaceNamespaceLocked(SketchNamespace(base_ns), std::move(records));
 }
 
@@ -928,11 +746,21 @@ Status DetectionStore::RepairLocked(uint64_t ns, int64_t frame,
   if (inserted) ++pending_records_;
   if (shard.disk_index.count(frame) == 0) {
     // Nothing on disk to override: the regular flush path suffices (and
-    // refreshes sketches when it runs).
+    // rebuilds sketches when it runs).
     return Status::OK();
   }
-  BLAZEIT_RETURN_NOT_OK(
-      RewriteShardLocked(ns, &shard, /*validate_payloads=*/true));
+  // Since the whole namespace is being rewritten anyway, heal it in one
+  // pass: any other record that decodes under no engine codec would just
+  // trigger another full rewrite when it is next read, so drop it now (it
+  // becomes a plain miss and is recomputed once).
+  auto dropped = DropUndecodableLocked(&shard);
+  if (!dropped.ok()) return dropped.status();
+  if (dropped.value() > 0) {
+    BLAZEIT_LOG(kWarning) << "namespace rewrite dropped " << dropped.value()
+                          << " undecodable record(s); they will be "
+                             "recomputed on next use";
+  }
+  BLAZEIT_RETURN_NOT_OK(PublishSegmentLocked(ns, &shard, /*replace=*/true));
   // The repair replaced payloads without changing the record count, which
   // is exactly the staleness Load's count gate cannot see — rebuild the
   // sketches eagerly.
@@ -952,20 +780,12 @@ Result<DetectionStore::RepairStats> DetectionStore::Repair() {
   std::vector<uint64_t> rewritten;
   for (auto& [ns, shard] : shards_) {
     ++stats.namespaces_scanned;
-    std::vector<int64_t> drop;
-    for (const auto& [frame, loc] : shard.disk_index) {
-      ++stats.records_scanned;
-      auto payload = shard.segments[loc.first]->ReadPayloadAt(loc.second);
-      if (!payload.ok()) return payload.status();
-      if (!PayloadDecodes(payload.value())) drop.push_back(frame);
-    }
-    if (drop.empty()) continue;
-    for (int64_t frame : drop) shard.disk_index.erase(frame);
-    stats.malformed_dropped += static_cast<int64_t>(drop.size());
-    // The scan above already validated every surviving record; skip the
-    // rewrite's own validation pass.
-    BLAZEIT_RETURN_NOT_OK(
-        RewriteShardLocked(ns, &shard, /*validate_payloads=*/false));
+    stats.records_scanned += static_cast<int64_t>(shard.disk_index.size());
+    auto dropped = DropUndecodableLocked(&shard);
+    if (!dropped.ok()) return dropped.status();
+    if (dropped.value() == 0) continue;
+    stats.malformed_dropped += dropped.value();
+    BLAZEIT_RETURN_NOT_OK(PublishSegmentLocked(ns, &shard, /*replace=*/true));
     ++stats.namespaces_rewritten;
     rewritten.push_back(ns);
   }
@@ -991,81 +811,23 @@ Result<DetectionStore::CompactionStats> DetectionStore::Compact() {
   CompactionStats stats;
   for (auto& [ns, shard] : shards_) {
     stats.segments_before += static_cast<int64_t>(shard.segments.size());
-    if (shard.segments.size() <= 1 && shard.shadowed == 0) {
+    if (shard.segments.size() > 1 || shard.shadowed > 0) {
+      // The rewrite copies exactly the winners GetRaw serves (first
+      // segment in sorted name order) at the next repair generation, so
+      // the compacted segment sorts before every segment it replaces: a
+      // loser whose unlink fails, or that a crash strands, stays a
+      // shadowed duplicate instead of winning on reopen.
+      stats.duplicates_dropped += shard.shadowed;
+      ++stats.namespaces_compacted;
+      BLAZEIT_RETURN_NOT_OK(
+          PublishSegmentLocked(ns, &shard, /*replace=*/true));
+    } else if (!shard.stranded.empty()) {
       // Already compact: one segment, no shadowed duplicates. Still retry
       // any removals a previous rewrite left stranded.
-      if (!shard.stranded.empty()) {
-        RemoveSegmentsOrStrand({}, &shard.stranded);
-      }
-      stats.segments_after += static_cast<int64_t>(shard.segments.size());
-      stats.records_kept += static_cast<int64_t>(shard.disk_index.size());
-      continue;
+      RemoveSegmentsOrStrand({}, &shard.stranded);
     }
-
-    // Resolved view of the namespace, in ascending frame order — exactly
-    // what GetRaw serves today (first segment in sorted name order wins).
-    std::vector<int64_t> frames;
-    frames.reserve(shard.disk_index.size());
-    for (const auto& [frame, _] : shard.disk_index) frames.push_back(frame);
-    std::sort(frames.begin(), frames.end());
-
-    // A namespace that has been repaired must keep its repair generation
-    // through compaction: a regular segment name sorts *after* repair
-    // names, so if the unlink of a superseded repair segment failed (or a
-    // concurrent process still holds one), a regular-named compacted
-    // segment would lose first-write-wins to the stranded repair and
-    // resurrect its stale records — and a later Repair at generation+1
-    // must still sort ahead of the compacted view. Writing the compacted
-    // segment at the next repair generation preserves both orderings.
-    ++flush_counter_;
-    const std::string final_path =
-        shard.repair_generation > 0
-            ? RepairSegmentPath(ns, ++shard.repair_generation)
-            : NewSegmentPath(ns);
-    const std::string tmp_path = final_path + ".tmp";
-    auto writer = StoreWriter::Create(tmp_path, ns);
-    if (!writer.ok()) return writer.status();
-    for (int64_t frame : frames) {
-      const auto& [segment_index, offset] = shard.disk_index.at(frame);
-      auto payload = shard.segments[segment_index]->ReadPayloadAt(offset);
-      if (!payload.ok()) return payload.status();
-      BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload.value()));
-    }
-    BLAZEIT_RETURN_NOT_OK(writer.value()->Close());
-    std::error_code ec;
-    fs::rename(tmp_path, final_path, ec);
-    if (ec) {
-      return Status::Internal(
-          StrFormat("cannot publish compacted segment '%s': %s",
-                    final_path.c_str(), ec.message().c_str()));
-    }
-
-    // Old segments carry only payloads the new segment duplicates (the
-    // winners) or shadowed losers; removing them cannot change what any
-    // reader resolves. Removal failures are non-fatal — a leftover
-    // segment just re-shadows until the next compaction.
-    std::vector<std::string> old_paths;
-    old_paths.reserve(shard.segments.size());
-    for (const auto& segment : shard.segments) {
-      old_paths.push_back(segment->path());
-    }
-    stats.duplicates_dropped += shard.shadowed;
-    stats.records_kept += static_cast<int64_t>(frames.size());
-    ++stats.namespaces_compacted;
-    ++stats.segments_after;
-
-    auto reader = StoreReader::Open(final_path, ns,
-                                    /*validate_records=*/false);
-    if (!reader.ok()) return reader.status();
-    shard.segments.clear();
-    shard.disk_index.clear();
-    shard.shadowed = 0;
-    for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-      shard.disk_index.emplace(frame, std::make_pair(size_t{0}, offset));
-    }
-    shard.segments.push_back(std::move(reader).value());
-
-    RemoveSegmentsOrStrand(std::move(old_paths), &shard.stranded);
+    stats.segments_after += static_cast<int64_t>(shard.segments.size());
+    stats.records_kept += static_cast<int64_t>(shard.disk_index.size());
   }
   static obs::Counter* compactions = obs::MetricsRegistry::Global().GetCounter(
       "store.compactions", obs::Stability::kStable);

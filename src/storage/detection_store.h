@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -191,8 +192,11 @@ class DetectionStore {
   /// flushed first. Record resolution is unchanged: the new segment
   /// contains exactly the payloads GetRaw resolved before (first segment
   /// in sorted name order wins), so a store reads identically before and
-  /// after — and a crash between writing the new segment and removing the
-  /// old ones only leaves benign duplicates of the same winners.
+  /// after. The new segment is written at the namespace's next repair
+  /// generation, so it sorts before every segment it replaces: if a crash
+  /// or a failed unlink leaves an old segment behind — a shadowed loser
+  /// included — its records are shadowed duplicates of the compacted
+  /// winners, never served, and the next Compact drops them.
   Result<CompactionStats> Compact();
 
   /// Durably replaces the payload of one record, overriding first-write-
@@ -227,7 +231,7 @@ class DetectionStore {
   /// records land under SketchNamespace(base_ns) via the repair-named
   /// rewrite path — so a fresh build always sorts before any stranded
   /// older sketch segment. Once built, the namespace stays *indexed*: the
-  /// store refreshes its sketches automatically on every later Flush of
+  /// store rebuilds its sketches automatically on every later Flush of
   /// new base records and after every Repair that rewrites the base
   /// payloads (Compact preserves the resolved view, so sketches survive it
   /// unchanged).
@@ -335,6 +339,18 @@ class DetectionStore {
   Status RepairLocked(uint64_t ns, int64_t frame, const std::string& payload)
       BLAZEIT_REQUIRES(mu_);
 
+  /// Every frame a read of `shard` resolves — disk winners plus
+  /// pending-only frames — in ascending order.
+  static std::vector<int64_t> ResolvedFrames(const Shard& shard);
+  /// The one record read behind GetRaw, Scan, every rewrite and the
+  /// sketch rebuild: the pending copy first (it overrides disk; only
+  /// Repair creates such a collision), else the first-write-wins disk
+  /// winner. nullopt only for a frame outside ResolvedFrames — a miss
+  /// builds no Status, because a cold ingest takes it once per detector
+  /// call. Caller holds mu_ (shared suffices).
+  static std::optional<Result<std::string>> ReadResolved(const Shard& shard,
+                                                         int64_t frame);
+
   std::string NewSegmentPath(uint64_t ns) const;
   /// Names a repair segment so it sorts before every regular segment of
   /// the namespace AND before every earlier repair (repaired records must
@@ -342,53 +358,36 @@ class DetectionStore {
   /// Ordering comes from a monotonic per-namespace `generation` persisted
   /// in the name — not the wall clock, which can step backwards.
   std::string RepairSegmentPath(uint64_t ns, uint64_t generation) const;
-  /// Flush body; caller holds mu_ exclusively. Writes one segment per
-  /// dirty namespace, then refreshes the sketches of every dirty namespace
+  /// The store's one segment write, so segment naming, publish order,
+  /// index install and stranding live here only: records go to a temp
+  /// file that is renamed into place and indexed from the writer's
+  /// offsets. `replace` false (Flush) appends the pending records as a
+  /// regular-named segment. `replace` true (Repair, Compact, sketch
+  /// replacement) writes the resolved view, read through ReadResolved, at
+  /// the next repair generation as the namespace's only segment, then
+  /// removes the old files or strands them for retry. Caller holds mu_
+  /// exclusively.
+  Status PublishSegmentLocked(uint64_t ns, Shard* shard, bool replace)
+      BLAZEIT_REQUIRES(mu_);
+  /// Flush body; caller holds mu_ exclusively. Publishes one segment per
+  /// dirty namespace, then rebuilds the sketches of every dirty namespace
   /// that is indexed (has a sketch shard).
   Status FlushLocked() BLAZEIT_REQUIRES(mu_);
-  /// Writes one shard's pending records out as a new segment; caller holds
-  /// mu_ exclusively.
-  Status FlushShardLocked(uint64_t ns, Shard* shard) BLAZEIT_REQUIRES(mu_);
+  /// Drops from `shard`'s disk index every record no engine codec decodes
+  /// (records pending overrides are never read, so never checked), and
+  /// returns how many; the replacing publish that follows leaves them off
+  /// disk. Caller holds mu_ exclusively.
+  Result<int64_t> DropUndecodableLocked(Shard* shard) BLAZEIT_REQUIRES(mu_);
   /// Rebuilds SketchNamespace(base_ns) from the base shard's resolved
   /// view; caller holds mu_ exclusively and must not be iterating shards_
   /// unless the sketch shard already exists (the rebuild inserts it).
   Status RebuildSketchesLocked(uint64_t base_ns) BLAZEIT_REQUIRES(mu_);
-  /// What FlushLocked observed about a dirty indexed namespace *before*
-  /// flushing it, deciding whether the sketch refresh can be incremental.
-  struct SketchRefreshHint {
-    /// Resolved record count at the last sketch build (== the pre-flush
-    /// disk index size; sketches are only ever built with pending empty).
-    int64_t prior_count = 0;
-    /// Highest frame on disk pre-flush; -1 when the namespace was empty.
-    int64_t prior_max = -1;
-    /// Every pending record appended strictly past prior_max.
-    bool append_only = false;
-  };
-  /// Refreshes SketchNamespace(base_ns) after a flush. When `hint` shows
-  /// a pure append onto a current sketch, only blocks at/after the old
-  /// tail block are rebuilt — each sketch block is a pure function of its
-  /// own block's records, so the untouched prefix is copied forward
-  /// byte-for-byte (bit-identical to a full rebuild, regression-tested in
-  /// tests/storage_test.cc). Anything surprising (stale meta, overwrite,
-  /// empty base) falls back to RebuildSketchesLocked. Caller holds mu_
-  /// exclusively.
-  Status RefreshSketchesLocked(uint64_t base_ns, const SketchRefreshHint* hint)
-      BLAZEIT_REQUIRES(mu_);
   /// Replaces the full record set of a namespace (first-write-wins cannot
-  /// update records in place) through the repair-named rewrite path, so
-  /// the replacement sorts before anything it supersedes even when an old
+  /// update records in place) through the replacing publish, so the
+  /// replacement sorts before anything it supersedes even when an old
   /// segment's unlink fails. Caller holds mu_ exclusively.
   Status ReplaceNamespaceLocked(uint64_t ns,
                                 std::map<int64_t, std::string> records)
-      BLAZEIT_REQUIRES(mu_);
-  /// Rewrites one namespace into a single fresh segment holding the
-  /// resolved view (pending overrides disk, mirroring GetRaw's read
-  /// order), then removes the old segments. With `validate_payloads`,
-  /// on-disk records no engine codec decodes are dropped instead of
-  /// copied (the one-pass healing of the targeted Repair; the store-wide
-  /// Repair() passes false because its scan already validated). Caller
-  /// holds mu_ exclusively.
-  Status RewriteShardLocked(uint64_t ns, Shard* shard, bool validate_payloads)
       BLAZEIT_REQUIRES(mu_);
 
   std::string dir_;

@@ -36,9 +36,9 @@ class DetectionStore;
 ///
 /// Staleness is handled two ways. Lazily: the meta record stores the base
 /// namespace's record count at build time, and SketchIndex::Load treats a
-/// mismatch (any later Put) as "no index". Eagerly: the store refreshes
+/// mismatch (any later Put) as "no index". Eagerly: the store rebuilds
 /// sketches when it flushes new records of an indexed namespace, keeps
-/// them across Compact (which preserves the resolved view), and drops
+/// them across Compact (which preserves the resolved view), and rebuilds
 /// them when Repair rewrites payloads (see DetectionStore).
 inline constexpr uint32_t kSketchFormatVersion = 1;
 /// Frames per sketched video segment. 512 frames (~17 s at 30 fps)

@@ -57,15 +57,6 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   return out;
 }
 
-Rng Rng::Fork(uint64_t salt) const {
-  // Copy the engine state hash plus salt; a const_cast-free approach is to
-  // hash the salt with a snapshot of the engine via a temporary draw from a
-  // copy (the original engine is untouched).
-  std::mt19937_64 copy = engine_;
-  uint64_t base = copy();
-  return Rng(HashCombine(base, salt));
-}
-
 uint64_t HashString(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {

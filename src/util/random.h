@@ -35,10 +35,6 @@ class Rng {
   /// if k >= n returns the full range.
   std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
 
-  /// Deterministically derives an independent child generator; used to give
-  /// each frame/object its own stream so frame access order is irrelevant.
-  Rng Fork(uint64_t salt) const;
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

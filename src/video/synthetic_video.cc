@@ -350,11 +350,4 @@ double SyntheticVideo::MeanVisibleCount(int class_id) const {
   return total / static_cast<double>(num_frames_);
 }
 
-int SyntheticVideo::MaxVisibleCount(int class_id) const {
-  int max_count = 0;
-  for (int64_t t = 0; t < num_frames_; ++t)
-    max_count = std::max(max_count, CountVisible(t, class_id));
-  return max_count;
-}
-
 }  // namespace blazeit

@@ -90,8 +90,6 @@ class SyntheticVideo {
   double MeanDurationSeconds(int class_id) const;
   /// Mean number of visible instances per frame.
   double MeanVisibleCount(int class_id) const;
-  /// Maximum visible count over all frames.
-  int MaxVisibleCount(int class_id) const;
 
  private:
   /// One generated object instance (visible over [start_frame, end_frame)).

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -200,48 +199,6 @@ TEST_F(ExecTest, FramePipelineProvidesPerSlotScratch) {
     EXPECT_EQ(out[static_cast<size_t>(i)],
               static_cast<float>(i) / kFrames);
   }
-}
-
-TEST_F(ExecTest, BudgetLimitCapsWorkersButCallerAlwaysRuns) {
-  ThreadPool::Instance().Reconfigure(8);
-  ThreadPool::Instance().SetBudgetLimit(ThreadPool::Budget::kAnalytics, 1);
-  EXPECT_EQ(ThreadPool::Instance().BudgetLimit(ThreadPool::Budget::kAnalytics),
-            1);
-  // An analytics job may be helped by at most one pool worker; the caller
-  // always works its own job, so peak concurrency is limit + 1.
-  std::atomic<int> current{0};
-  std::atomic<int> peak{0};
-  ThreadPool::Instance().RunShards(
-      32,
-      [&](int64_t, int) {
-        const int now = current.fetch_add(1) + 1;
-        int seen = peak.load();
-        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        current.fetch_sub(1);
-      },
-      ThreadPool::Budget::kAnalytics);
-  EXPECT_GE(peak.load(), 1);
-  EXPECT_LE(peak.load(), 2);
-
-  // Restoring the limit (<= 0) lifts the cap for later jobs.
-  ThreadPool::Instance().SetBudgetLimit(ThreadPool::Budget::kAnalytics, 0);
-  EXPECT_EQ(ThreadPool::Instance().BudgetLimit(ThreadPool::Budget::kAnalytics),
-            0);
-}
-
-TEST_F(ExecTest, BudgetedJobStillCompletesWhenPoolIsSerial) {
-  // With the pool disabled the caller runs every shard inline; a budget
-  // cap must never deadlock or drop shards.
-  ThreadPool::Instance().Reconfigure(1);
-  ThreadPool::Instance().SetBudgetLimit(ThreadPool::Budget::kServing, 1);
-  std::atomic<int64_t> sum{0};
-  ThreadPool::Instance().RunShards(
-      10, [&](int64_t shard, int) { sum.fetch_add(shard); },
-      ThreadPool::Budget::kServing);
-  EXPECT_EQ(sum.load(), 45);
-  ThreadPool::Instance().SetBudgetLimit(ThreadPool::Budget::kServing, 0);
 }
 
 TEST_F(ExecTest, ManyConcurrentSmallJobs) {

@@ -829,6 +829,86 @@ TEST_F(StorageTest, CompactCarriesRepairGenerationPastStrandedSegments) {
   EXPECT_EQ(again.value()->GetRaw(kNs, 5).value(), "repaired-thrice");
 }
 
+TEST_F(StorageTest, CompactWinnersSurviveAStrandedLoserSegment) {
+  // A compacted segment must sort before every segment it replaces: a
+  // regular name can sort after them, and then a losing segment whose
+  // unlink fails, or that a crash strands between two unlinks, serves its
+  // payloads on reopen. The next repair generation sorts before every
+  // regular name.
+  constexpr uint64_t kNs = 0xC0FFEE;
+  // Two writers with overlapping frames and different payloads, as in
+  // CompactMergesSegmentsAndDropsShadowedDuplicates: the second segment is
+  // published into dir_ last and loses frames 25-49 to the first.
+  const std::string loser_dir = dir_ + "-writer2";
+  fs::remove_all(loser_dir);
+  struct Writer {
+    std::string dir;
+    const char* prefix;
+    int64_t begin;
+  };
+  for (const Writer& w :
+       {Writer{dir_, "first-", 0}, Writer{loser_dir, "second-", 25}}) {
+    auto store = DetectionStore::Open(w.dir);
+    BLAZEIT_ASSERT_OK(store.status());
+    for (int64_t f = w.begin; f < w.begin + 50; ++f) {
+      std::string payload = w.prefix;
+      payload += std::to_string(f);
+      BLAZEIT_ASSERT_OK(store.value()->PutRaw(kNs, f, std::move(payload)));
+    }
+    BLAZEIT_ASSERT_OK(store.value()->Flush());
+  }
+  std::string loser_path;
+  for (const auto& entry : fs::directory_iterator(loser_dir)) {
+    loser_path = (fs::path(dir_) / entry.path().filename()).string();
+    fs::rename(entry.path(), loser_path);
+  }
+  fs::remove_all(loser_dir);
+  std::string loser_bytes;
+  {
+    std::ifstream in(loser_path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    loser_bytes = buf.str();
+  }
+
+  auto store = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(store.status());
+  EXPECT_EQ(store.value()->ShadowedRecords(), 25);
+  EXPECT_EQ(store.value()->GetRaw(kNs, 30).value(), "first-30");
+  auto stats = store.value()->Compact();
+  BLAZEIT_ASSERT_OK(stats.status());
+  EXPECT_EQ(stats.value().namespaces_compacted, 1);
+  ASSERT_FALSE(fs::exists(loser_path));
+
+  // Strand the loser, as a failed unlink would.
+  {
+    std::ofstream out(loser_path, std::ios::binary);
+    out << loser_bytes;
+  }
+
+  // Every frame still resolves to the winner Compact copied; the stranded
+  // loser only adds shadowed duplicates, which the next Compact drops.
+  auto expect_winners = [](DetectionStore* s) {
+    for (int64_t f = 0; f < 75; ++f) {
+      std::string want = f < 50 ? "first-" : "second-";
+      want += std::to_string(f);
+      auto payload = s->GetRaw(kNs, f);
+      BLAZEIT_ASSERT_OK(payload.status());
+      EXPECT_EQ(payload.value(), want) << f;
+    }
+  };
+  auto reopened = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(reopened.status());
+  EXPECT_EQ(reopened.value()->RecordCount(kNs), 75);
+  EXPECT_EQ(reopened.value()->ShadowedRecords(), 50);
+  ASSERT_NO_FATAL_FAILURE(expect_winners(reopened.value().get()));
+  auto again = reopened.value()->Compact();
+  BLAZEIT_ASSERT_OK(again.status());
+  EXPECT_EQ(again.value().duplicates_dropped, 50);
+  EXPECT_FALSE(fs::exists(loser_path));
+  ASSERT_NO_FATAL_FAILURE(expect_winners(reopened.value().get()));
+}
+
 namespace sketchtest {
 
 /// One detection of `class_id` centered in the unit frame.
@@ -930,7 +1010,7 @@ TEST_F(StorageTest, SketchBuildProbeAndInvalidation) {
   EXPECT_TRUE(dropped.value().empty());
 }
 
-TEST_F(StorageTest, AppendOnlyFlushRefreshesSketchTailIncrementally) {
+TEST_F(StorageTest, FlushRefreshedSketchesMatchAFreshBuild) {
   constexpr uint64_t kNs = 0xA99E;
   constexpr int64_t kFrames = 3 * kSketchBlockFrames;  // three full blocks
   constexpr int64_t kHole = 7;  // a gap in block 0, re-filled later
@@ -946,51 +1026,36 @@ TEST_F(StorageTest, AppendOnlyFlushRefreshesSketchTailIncrementally) {
   BLAZEIT_ASSERT_OK(store.value()->Flush());
   BLAZEIT_ASSERT_OK(store.value()->BuildSketches(kNs));
 
-  obs::Counter* rebuilt = obs::MetricsRegistry::Global().GetCounter(
-      "store.sketch_blocks_rebuilt", obs::Stability::kStable);
-  obs::Counter* incremental = obs::MetricsRegistry::Global().GetCounter(
-      "store.sketch_incremental_refreshes", obs::Stability::kStable);
+  // The sketches a flush leaves behind must be current and equal to a
+  // from-scratch build, block by block and in base record count.
+  auto expect_matches_fresh_build = [&](size_t blocks) {
+    SketchIndex flushed = SketchIndex::Load(store.value().get(), kNs);
+    ASSERT_TRUE(flushed.valid());
+    ASSERT_EQ(flushed.blocks().size(), blocks);
+    BLAZEIT_ASSERT_OK(store.value()->BuildSketches(kNs));
+    SketchIndex fresh = SketchIndex::Load(store.value().get(), kNs);
+    ASSERT_TRUE(fresh.valid());
+    ASSERT_EQ(fresh.blocks().size(), flushed.blocks().size());
+    for (size_t b = 0; b < fresh.blocks().size(); ++b) {
+      EXPECT_TRUE(flushed.blocks()[b] == fresh.blocks()[b]) << "block " << b;
+    }
+    EXPECT_EQ(flushed.meta().base_record_count,
+              fresh.meta().base_record_count);
+  };
 
-  // A pure append past the tail: the flush refresh must rebuild only the
-  // block containing the previous maximum frame and the new partial
-  // block, copying the two untouched prefix blocks raw.
-  int64_t rebuilt_before = rebuilt->value();
-  int64_t incremental_before = incremental->value();
+  // An append past the tail adds a fourth, partial block.
   for (int64_t f = kFrames; f < kFrames + 10; ++f) {
     BLAZEIT_ASSERT_OK(store.value()->PutRaw(
         kNs, f, EncodeDetectionsPayload({sketchtest::Det(0)})));
   }
   BLAZEIT_ASSERT_OK(store.value()->Flush());
-  EXPECT_EQ(incremental->value(), incremental_before + 1);
-  EXPECT_EQ(rebuilt->value() - rebuilt_before, 2);
+  ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(4));
 
-  SketchIndex incremental_index = SketchIndex::Load(store.value().get(), kNs);
-  ASSERT_TRUE(incremental_index.valid());
-  ASSERT_EQ(incremental_index.blocks().size(), 4u);
-
-  // The refreshed index is bit-identical to a from-scratch rebuild —
-  // block by block, including the raw-copied prefix.
-  BLAZEIT_ASSERT_OK(store.value()->BuildSketches(kNs));
-  SketchIndex full_index = SketchIndex::Load(store.value().get(), kNs);
-  ASSERT_TRUE(full_index.valid());
-  ASSERT_EQ(full_index.blocks().size(), incremental_index.blocks().size());
-  for (size_t b = 0; b < full_index.blocks().size(); ++b) {
-    EXPECT_TRUE(incremental_index.blocks()[b] == full_index.blocks()[b])
-        << "block " << b;
-  }
-  EXPECT_EQ(incremental_index.meta().base_record_count,
-            full_index.meta().base_record_count);
-
-  // A non-append flush (filling the old hole rewrites history below the
-  // tail) must fall back to the full rebuild of all four blocks.
-  rebuilt_before = rebuilt->value();
-  incremental_before = incremental->value();
+  // Filling the hole changes a block below the tail.
   BLAZEIT_ASSERT_OK(store.value()->PutRaw(
       kNs, kHole, EncodeDetectionsPayload({sketchtest::Det(0)})));
   BLAZEIT_ASSERT_OK(store.value()->Flush());
-  EXPECT_EQ(incremental->value(), incremental_before);
-  EXPECT_EQ(rebuilt->value() - rebuilt_before, 4);
-  EXPECT_TRUE(SketchIndex::Load(store.value().get(), kNs).valid());
+  ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(4));
 }
 
 TEST_F(StorageTest, SketchRefusesNonDetectionsNamespace) {
