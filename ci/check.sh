@@ -44,6 +44,9 @@ cmake --build --preset release -j "${JOBS}" --target blazeit > /dev/null
 # pass. Gating.
 echo "==> perfbench: unit tests + cold-ingest smoke"
 python3 -m unittest discover -s perfbench/tests
+# tools/perf_ab.py's summary math (medians, IQRs, pair wins, paper-cost
+# equality) decides perf claims; its unit tests gate too.
+python3 -m unittest discover -s tools/tests
 PERFBENCH_LAST="$(CARGO_TARGET_DIR="${BUILD_DIR}-perfbench" \
   python3 perfbench/run.py --workload cold-ingest --seed 1 --seconds 0 \
     --trace 0 | tail -n 1)"
@@ -55,7 +58,8 @@ print("perfbench smoke valid:", d["attempted"], "queries, 0 failed")' \
 
 STORE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-store.XXXXXX")"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-smoke.XXXXXX")"
-trap 'rm -rf "${STORE_DIR}" "${SMOKE_DIR}"' EXIT
+REUSE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/blazeit-reuse.XXXXXX")"
+trap 'rm -rf "${STORE_DIR}" "${SMOKE_DIR}" "${REUSE_DIR}"' EXIT
 
 # Lane wall-clock comes from ctest's own "Total Test time (real)" line:
 # portable (no GNU date +%N) and measures only the tests themselves.
@@ -113,6 +117,42 @@ if [[ -x "${STORECLI}" ]]; then
   BUILD_OUT="$("${STORECLI}" build "${SMOKE_DIR}" taipei test 50)"
   grep -qF '(0 computed, 50 already stored)' <<< "${BUILD_OUT}" \
     || { echo "==> FAIL: warm build: ${BUILD_OUT}" >&2; exit 1; }
+
+  # Store reuse, counted rather than timed: the same aggregate run twice
+  # against a fresh store must train, infer and miss on the first run and
+  # replay everything on the second — no training batch, no computed NN
+  # frame, no persistent-tier miss, and the trained weights read back.
+  # Gating.
+  echo "==> storecli: warm rerun reuses the store (work counts)"
+  for RUN in 1 2; do
+    "${STORECLI}" query "${REUSE_DIR}" taipei \
+      "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.1 AT CONFIDENCE 95%" \
+      --small-nn --train 1500 --held 1500 --test 4500 \
+      --metrics "${REUSE_DIR}/m${RUN}.json" > /dev/null
+  done
+  python3 - "${REUSE_DIR}/m1.json" "${REUSE_DIR}/m2.json" <<'EOF'
+import json, sys
+def counters(path):
+    return {e["name"]: e.get("value", e.get("count", 0))
+            for e in json.load(open(path))["metrics"]}
+cold, warm = counters(sys.argv[1]), counters(sys.argv[2])
+def inference(m):
+    return {k: v for k, v in m.items() if k.startswith("nn.inference_frames{")}
+miss = "cache.misses{tier=persistent}"
+hit = "cache.hits{tier=persistent}"
+assert cold.get("nn.train_batches", 0) > 0, "first run trained nothing"
+assert sum(inference(cold).values()) > 0, "first run inferred nothing"
+assert cold.get(miss, 0) > 0, "first run missed nothing"
+assert warm.get("nn.train_batches", 0) == 0, warm.get("nn.train_batches")
+assert all(v == 0 for v in inference(warm).values()), inference(warm)
+assert warm.get(miss, 0) == 0, warm.get(miss)
+assert warm.get("nn.weights_cache_hits", 0) >= 1, warm.get("nn.weights_cache_hits")
+print("store reuse valid: cold run %d train batches, %d inference frames, "
+      "%d persistent misses; warm run 0 / 0 / 0, %d weights hit(s), "
+      "%d persistent hits" % (cold["nn.train_batches"],
+                              sum(inference(cold).values()), cold[miss],
+                              warm["nn.weights_cache_hits"], warm.get(hit, 0)))
+EOF
 
   # Malformed numbers are usage errors (exit 2), not namespace 0.
   echo "==> storecli: malformed namespace is a usage error"

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/elementwise_kernels.h"
+
 namespace blazeit {
 
 Linear::Linear(int in_dim, int out_dim, Rng* rng)
@@ -33,9 +35,8 @@ Matrix Linear::Infer(const Matrix& input) const {
 void Linear::BackwardParams(const Matrix& grad_output) {
   // dW += X^T dY ; db += colsum(dY).
   Matrix dw = MatMulTransposeA(cached_input_, grad_output);
-  for (size_t i = 0; i < w_grad_.data().size(); ++i) {
-    w_grad_.data()[i] += dw.data()[i];
-  }
+  elementwise::Accumulate(w_grad_.data().data(), dw.data().data(),
+                          w_grad_.data().size());
   for (int r = 0; r < grad_output.rows(); ++r) {
     const float* row = grad_output.Row(r);
     for (int c = 0; c < out_dim_; ++c) b_grad_[static_cast<size_t>(c)] += row[c];

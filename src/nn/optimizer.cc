@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "nn/elementwise_kernels.h"
+
 namespace blazeit {
 
 SgdOptimizer::SgdOptimizer(std::vector<ParamRef> params, double lr,
@@ -14,16 +16,13 @@ SgdOptimizer::SgdOptimizer(std::vector<ParamRef> params, double lr,
 }
 
 void SgdOptimizer::Step() {
+  const float m = static_cast<float>(momentum_);
+  const float lr = static_cast<float>(lr_);
   for (size_t i = 0; i < params_.size(); ++i) {
     std::vector<float>& value = *params_[i].value;
-    std::vector<float>& grad = *params_[i].grad;
-    std::vector<float>& vel = velocity_[i];
-    const float m = static_cast<float>(momentum_);
-    const float lr = static_cast<float>(lr_);
-    for (size_t j = 0; j < value.size(); ++j) {
-      vel[j] = m * vel[j] + grad[j];
-      value[j] -= lr * vel[j];
-    }
+    elementwise::SgdMomentumStep(value.data(), velocity_[i].data(),
+                                 params_[i].grad->data(), value.size(), m,
+                                 lr);
   }
 }
 

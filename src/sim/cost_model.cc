@@ -5,8 +5,6 @@
 
 namespace blazeit {
 
-#ifdef BLAZEIT_COSTMETER_THREAD_CHECK
-
 CostMeter::CostMeter(const CostMeter& other)
     : profile_(other.profile_),
       detection_calls_(other.detection_calls_),
@@ -35,6 +33,8 @@ CostMeter& CostMeter::operator=(const CostMeter& other) {
   owner_.store(std::thread::id(), std::memory_order_relaxed);
   return *this;
 }
+
+#ifdef BLAZEIT_COSTMETER_THREAD_CHECK
 
 void CostMeter::CheckOwner() {
   const std::thread::id self = std::this_thread::get_id();
@@ -93,9 +93,7 @@ double CostMeter::QuerySeconds() const {
 }
 
 void CostMeter::Reset() {
-#ifdef BLAZEIT_COSTMETER_THREAD_CHECK
   owner_.store(std::thread::id(), std::memory_order_relaxed);
-#endif
   detection_calls_ = 0;
   specialized_nn_calls_ = 0;
   filter_calls_ = 0;

@@ -1,24 +1,24 @@
 #ifndef BLAZEIT_SIM_COST_MODEL_H_
 #define BLAZEIT_SIM_COST_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 /// CostMeter's single-writer assertion (see below). Active in debug
 /// builds and — because the default CI build is RelWithDebInfo, where
 /// NDEBUG would compile a plain assert away — also under
 /// ThreadSanitizer, so the TSan CI lane always runs with the check on.
+/// Only the check depends on this macro: the owner field and the copy
+/// operations exist in every build, so translation units compiled with
+/// and without NDEBUG agree on CostMeter's layout.
 #if !defined(NDEBUG) || defined(__SANITIZE_THREAD__)
 #define BLAZEIT_COSTMETER_THREAD_CHECK 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define BLAZEIT_COSTMETER_THREAD_CHECK 1
 #endif
-#endif
-
-#ifdef BLAZEIT_COSTMETER_THREAD_CHECK
-#include <atomic>
-#include <thread>
 #endif
 
 namespace blazeit {
@@ -74,14 +74,12 @@ class CostMeter {
   explicit CostMeter(CostProfile profile = CostProfile())
       : profile_(profile) {}
 
-#ifdef BLAZEIT_COSTMETER_THREAD_CHECK
   /// The owner pin is an atomic, which would otherwise delete the copy
   /// operations CostMeter relies on (AggregateExecutor passes meters by
   /// value; QueryOutput copies them around). Copies take the counters but
   /// not the owner: the copy belongs to whoever charges it next.
   CostMeter(const CostMeter& other);
   CostMeter& operator=(const CostMeter& other);
-#endif
 
   const CostProfile& profile() const { return profile_; }
 
@@ -118,14 +116,15 @@ class CostMeter {
   std::string ToString() const;
 
  private:
+  /// Aborts (debug/TSan builds) if this meter has been charged from a
+  /// different thread since the last Reset()/copy. Called by every
+  /// Charge*.
 #ifdef BLAZEIT_COSTMETER_THREAD_CHECK
-  /// Aborts if this meter has been charged from a different thread since
-  /// the last Reset()/copy. Called by every Charge*.
   void CheckOwner();
-  std::atomic<std::thread::id> owner_{std::thread::id()};
 #else
   void CheckOwner() {}
 #endif
+  std::atomic<std::thread::id> owner_{std::thread::id()};
 
   CostProfile profile_;
   int64_t detection_calls_ = 0;

@@ -5,8 +5,10 @@ namespace blazeit {
 
 /// Runtime ISA tiers of the hot-path kernels. The kernels in
 /// video/raster_kernels.* and nn/matmul_kernels.* dispatch AVX-512 →
-/// AVX2 → scalar at runtime, so the library binary stays baseline x86-64
-/// portable while using the widest vectors available. Every SIMD tier is
+/// AVX2 → scalar at runtime (the feature pooling and
+/// nn/elementwise_kernels.* AVX-512 → scalar), so the library binary
+/// stays baseline x86-64 portable while using the widest vectors
+/// available. Every SIMD tier is
 /// bit-identical to the scalar fallback by construction (element-wise
 /// lanes, no FMA contraction, no reassociation), so dispatch never
 /// changes query outputs — only wall clock.

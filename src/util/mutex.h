@@ -26,9 +26,11 @@
 ///
 /// Owner tracking compiles in when NDEBUG is unset, under ThreadSanitizer,
 /// or when BLAZEIT_FORCE_MUTEX_DEBUG is defined (the ASan/UBSan CI lanes
-/// set it); release builds carry plain std primitives with zero overhead.
-/// Tracking is observe-only — it can abort, never change timing-visible
-/// outputs — so the determinism suites are bit-identical with it on.
+/// set it); release builds skip the bookkeeping and its checks. The
+/// tracking fields exist in every build, so translation units compiled
+/// with different flags agree on the classes' layout. Tracking is
+/// observe-only — it can abort, never change timing-visible outputs — so
+/// the determinism suites are bit-identical with it on.
 
 #if !defined(BLAZEIT_MUTEX_DEBUG)
 #if !defined(NDEBUG) || defined(BLAZEIT_FORCE_MUTEX_DEBUG) || \
@@ -102,9 +104,7 @@ class BLAZEIT_CAPABILITY("mutex") Mutex {
   }
 
   std::mutex mu_;
-#if BLAZEIT_MUTEX_DEBUG
   std::atomic<std::thread::id> owner_{};
-#endif
 };
 
 /// Annotated reader/writer mutex (DetectionStore's index lock). Writer
@@ -174,10 +174,8 @@ class BLAZEIT_CAPABILITY("shared_mutex") SharedMutex {
 
  private:
   std::shared_mutex mu_;
-#if BLAZEIT_MUTEX_DEBUG
   std::atomic<std::thread::id> owner_{};
   std::atomic<int> readers_{0};
-#endif
 };
 
 /// RAII exclusive lock on a Mutex. Unlock()/Lock() support protocols that

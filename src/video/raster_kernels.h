@@ -7,11 +7,12 @@
 namespace blazeit {
 namespace raster {
 
-/// The raster kernel layer: the per-pixel inner loops of Image, factored
-/// out so they can be runtime-dispatched between a portable scalar path
-/// and an AVX-512 path. Both paths are bit-identical by construction —
-/// every lane computes exactly the scalar expression (separate multiply
-/// and add, no FMA contraction, no reassociation), so whichever path runs,
+/// The raster kernel layer: the per-pixel inner loops of Image and of the
+/// feature pooling behind RenderFrameFeatures, factored out so they can be
+/// runtime-dispatched between a portable scalar path and an AVX-512 path.
+/// Both paths are bit-identical by construction — every lane computes
+/// exactly the scalar expression (separate multiply and add, no FMA
+/// contraction, no reassociation), so whichever path runs,
 /// the persistent artifact store sees the same bytes. The golden suite
 /// (tests/raster_golden_test.cc) pins this with an independent reference
 /// implementation; tests can force the scalar path with
@@ -38,6 +39,22 @@ void AddGaussianNoiseClamp(float* data, size_t n, uint64_t state,
 /// fallback and by tests as the parity baseline).
 void AddGaussianNoiseClampScalar(float* data, size_t n, uint64_t state,
                                  float sigma);
+
+/// Pools an RGB image of (2 * grid_w) x (2 * grid_h) pixels (`pix`,
+/// row-major, channels interleaved) into grid_w * grid_h cells of four
+/// floats written row-major to `dst`: the normalized mean R, G and B of
+/// the cell's 2x2 block and its normalized mean absolute deviation from
+/// the image's channel means `means`. Each cell sums its four pixels in
+/// double in (dy, dx) order and normalizes with real divisions; the
+/// AVX-512 path pools eight cells per vector with exactly those lane
+/// expressions and finishes each row's last grid_w % 8 cells on the
+/// scalar path.
+void PoolFeatures2x2(const float* pix, int grid_w, int grid_h,
+                     const double means[3], float* dst);
+
+/// Scalar reference path of PoolFeatures2x2.
+void PoolFeatures2x2Scalar(const float* pix, int grid_w, int grid_h,
+                           const double means[3], float* dst);
 
 }  // namespace raster
 }  // namespace blazeit

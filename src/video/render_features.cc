@@ -1,6 +1,6 @@
 #include "video/render_features.h"
 
-#include <cmath>
+#include "video/raster_kernels.h"
 
 namespace blazeit {
 
@@ -10,11 +10,9 @@ namespace {
 // and pools each 2x2 block into (mean R, mean G, mean B, mean
 // |deviation from the frame average|). The deviation channel is a
 // foreground map — counting objects is then a near-linear function of
-// it — while pooling averages the sensor noise down. Channels are
-// normalized as in Section 9 ("standard ImageNet normalization").
+// it — while pooling averages the sensor noise down. The normalization
+// lives with the pooling kernel (raster::PoolFeatures2x2).
 constexpr int kPool = 2;
-constexpr float kMean = 0.45f;
-constexpr float kStd = 0.22f;
 }  // namespace
 
 void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
@@ -26,46 +24,7 @@ void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
                               grid_h * kPool, &img);
   double means[3];
   img.MeanChannels(means);
-  const double mean_r = means[0];
-  const double mean_g = means[1];
-  const double mean_b = means[2];
-  const float* pix = img.data().data();
-  const int iw = grid_w * kPool;
-  float* out = dst;
-  for (int cy = 0; cy < grid_h; ++cy) {
-    for (int cx = 0; cx < grid_w; ++cx) {
-      double r = 0, g = 0, b = 0, dev = 0;
-      for (int dy = 0; dy < kPool; ++dy) {
-        const float* row =
-            pix + (static_cast<size_t>(cy * kPool + dy) * iw +
-                   static_cast<size_t>(cx) * kPool) *
-                      3;
-        for (int dx = 0; dx < kPool; ++dx) {
-          double pr = static_cast<double>(row[3 * dx + 0]);
-          double pg = static_cast<double>(row[3 * dx + 1]);
-          double pb = static_cast<double>(row[3 * dx + 2]);
-          r += pr;
-          g += pg;
-          b += pb;
-          dev += std::abs(pr - mean_r) + std::abs(pg - mean_g) +
-                 std::abs(pb - mean_b);
-        }
-      }
-      const double inv = 1.0 / (kPool * kPool);
-      *out++ = static_cast<float>(((static_cast<double>(r) * inv) -
-                                   static_cast<double>(kMean)) /
-                                  static_cast<double>(kStd));
-      *out++ = static_cast<float>(((static_cast<double>(g) * inv) -
-                                   static_cast<double>(kMean)) /
-                                  static_cast<double>(kStd));
-      *out++ = static_cast<float>(((static_cast<double>(b) * inv) -
-                                   static_cast<double>(kMean)) /
-                                  static_cast<double>(kStd));
-      // Noise-only cells average ~0.1 absolute deviation at typical sensor
-      // noise; objects reach 0.5-1.5. Scale to keep activations O(1).
-      *out++ = static_cast<float>((dev * inv - 0.1) / 0.3);
-    }
-  }
+  raster::PoolFeatures2x2(img.data().data(), grid_w, grid_h, means, dst);
 }
 
 }  // namespace blazeit

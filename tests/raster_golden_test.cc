@@ -12,6 +12,7 @@
 // filter in PR 3 (kDerivedArtifactEpoch bumped); its reference below *is*
 // the two-pass formulation, documented as such.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -144,6 +145,42 @@ void RefAddNoise(std::vector<float>* data, uint64_t state, double sigma) {
     z ^= z >> 31;
     v = std::clamp(v + s * table[z & (kNoiseTableSize - 1)], 0.0f, 1.0f);
   }
+}
+
+// Original 2x2 feature pooling (the RenderFrameFeatures loop before it
+// moved behind raster::PoolFeatures2x2): per cell, double sums of the four
+// pixels in (dy, dx) order, the absolute deviation from the image means,
+// then ((mean - 0.45) / 0.22) per color and ((dev / 4 - 0.1) / 0.3).
+std::vector<float> RefPoolFeatures(const std::vector<float>& pix, int grid_w,
+                                   int grid_h, const double means[3]) {
+  const int iw = grid_w * 2;
+  std::vector<float> out;
+  for (int cy = 0; cy < grid_h; ++cy) {
+    for (int cx = 0; cx < grid_w; ++cx) {
+      double sum[3] = {0, 0, 0};
+      double dev = 0;
+      for (int dy = 0; dy < 2; ++dy) {
+        for (int dx = 0; dx < 2; ++dx) {
+          const size_t at =
+              (static_cast<size_t>(cy * 2 + dy) * iw + cx * 2 + dx) * 3;
+          double p[3];
+          for (int c = 0; c < 3; ++c) {
+            p[c] = static_cast<double>(pix[at + c]);
+            sum[c] += p[c];
+          }
+          dev += std::abs(p[0] - means[0]) + std::abs(p[1] - means[1]) +
+                 std::abs(p[2] - means[2]);
+        }
+      }
+      for (int c = 0; c < 3; ++c) {
+        out.push_back(static_cast<float>(
+            ((sum[c] * 0.25) - static_cast<double>(0.45f)) /
+            static_cast<double>(0.22f)));
+      }
+      out.push_back(static_cast<float>((dev * 0.25 - 0.1) / 0.3));
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -366,6 +403,47 @@ TEST(RasterGoldenTest, AddNoiseZeroSigmaIsIdentity) {
   Rng rng(11);
   img.AddNoise(&rng, 0.0);
   EXPECT_EQ(img.data(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Feature pooling golden: the dispatched kernel and its scalar path against
+// the historical loop, compared bit for bit.
+// ---------------------------------------------------------------------------
+
+TEST(RasterGoldenTest, PoolFeaturesMatchesHistoricalLoop) {
+  // 16x16 and 32x32 are the engine's rasters and 8x1 one vector; 12x7,
+  // 20x20 and 1x1 leave rows whose last cells run on the scalar tail.
+  constexpr int kGrids[][2] = {{16, 16}, {32, 32}, {8, 1},
+                               {12, 7},  {20, 20}, {1, 1}};
+  Rng rng(0x2545f4914f6cdd1dULL);
+  for (auto [gw, gh] : kGrids) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Random pixels mixed with exact 0, exact 1, and values below 1e-6.
+      std::vector<float> pix(static_cast<size_t>(gw) * gh * 4 * 3);
+      for (float& v : pix) {
+        const double kind = rng.Uniform();
+        v = kind < 0.1   ? 0.0f
+            : kind < 0.2 ? 1.0f
+            : kind < 0.3 ? static_cast<float>(rng.Uniform(0.0, 1e-6))
+                         : static_cast<float>(rng.Uniform());
+      }
+      const double means[3] = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      const std::vector<float> want = RefPoolFeatures(pix, gw, gh, means);
+      std::vector<float> got(want.size()), scalar(want.size());
+      raster::PoolFeatures2x2(pix.data(), gw, gh, means, got.data());
+      raster::PoolFeatures2x2Scalar(pix.data(), gw, gh, means, scalar.data());
+      SCOPED_TRACE(::testing::Message() << gw << "x" << gh << " trial "
+                                        << trial);
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
+                  std::bit_cast<uint32_t>(got[i]))
+            << "dispatched, index " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
+                  std::bit_cast<uint32_t>(scalar[i]))
+            << "scalar, index " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include "testing/test_util.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
@@ -243,6 +245,36 @@ TEST(SpecializedNNReferenceTest, InferenceMatchesNaiveModel) {
   }
   exec::ThreadPool::Instance().Reconfigure(
       exec::ThreadPool::ThreadsFromEnv());
+}
+
+// The trained weights, pinned by hash. Training renders features, runs
+// the GEMMs, the gradient accumulate and the SGD update, so a kernel that
+// changed one bit on any ISA tier would change the weights that stores
+// replay across machines. The hash was recorded with the scalar training
+// loops; it changes only with a kDerivedArtifactEpoch bump.
+TEST(SpecializedNNReferenceTest, TrainedWeightsArePinned) {
+  auto day =
+      SyntheticVideo::Create(TaipeiConfig(), kTrainDaySeed, 1500).value();
+  SimulatedDetector detector;
+  LabeledSet labels(day.get(), &detector, 0.5);
+  WeightRecordingCache cache;
+  SpecializedNNConfig cfg;
+  cfg.raster_width = 16;
+  cfg.raster_height = 16;
+  cfg.hidden_dims = {32};
+  cfg.cache = &cache;
+  auto nn = SpecializedNN::Train(*day, {labels.Counts(kCar)}, cfg).value();
+  ASSERT_EQ(nn.trained_frames(), 1500);
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over the float bits
+  for (float w : cache.weights) {
+    const uint32_t bits = std::bit_cast<uint32_t>(w);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(cache.weights.size(), 32965u);
+  EXPECT_EQ(hash, 0xac47c7f00c01aefULL);
 }
 
 class SpecializedNNTest : public ::testing::Test {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "nn/elementwise_kernels.h"
 #include "nn/matmul_kernels.h"
+#include "nn/optimizer.h"
 #include "util/random.h"
 
 namespace blazeit {
@@ -197,6 +203,94 @@ TEST(MatMulTest, TransposeIdentitiesAgree) {
     for (int c = 0; c < 2; ++c) {
       EXPECT_FLOAT_EQ(direct.At(r, c), viaT.At(r, c));
     }
+  }
+}
+
+// Element-wise training kernels: SgdOptimizer::Step, the dispatched
+// accumulate and both scalar paths against hand-written loops, bit for
+// bit (the scalar paths directly, since AVX-512 hosts never dispatch to
+// them but other hosts replay what they computed). Sizes cover
+// a single element, the 16-lane tail on both sides of one vector, and
+// the small NN's head and trunk buffers; ten steps with a decaying
+// learning rate, as training runs them.
+constexpr size_t kElementwiseSizes[] = {1, 15, 16, 17, 1000, 32800};
+
+std::vector<float> RandomFloats(Rng* rng, size_t n) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = rng->Bernoulli(0.1) ? 0.0f
+                            : static_cast<float>(rng->Normal(0.0, 1.0));
+  }
+  return v;
+}
+
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), std::bit_cast<uint32_t>(got[i]))
+        << "index " << i;
+  }
+}
+
+TEST(ElementwiseParityTest, SgdStepMatchesScalarLoop) {
+  Rng rng(0x9e3779b9);
+  std::vector<std::vector<float>> values, grads, ref_values, ref_vel;
+  std::vector<std::vector<float>> scalar_values, scalar_vel;
+  for (size_t n : kElementwiseSizes) {
+    values.push_back(RandomFloats(&rng, n));
+    grads.emplace_back(n);
+    ref_values.push_back(values.back());
+    ref_vel.emplace_back(n, 0.0f);
+    scalar_values.push_back(values.back());
+    scalar_vel.emplace_back(n, 0.0f);
+  }
+  std::vector<ParamRef> params;
+  for (size_t p = 0; p < values.size(); ++p) {
+    params.push_back({&values[p], &grads[p]});
+  }
+  SgdOptimizer opt(params, 0.02, 0.9);
+  double lr = 0.02;
+  for (int step = 0; step < 10; ++step) {
+    for (size_t p = 0; p < values.size(); ++p) {
+      grads[p] = RandomFloats(&rng, grads[p].size());
+    }
+    opt.Step();
+    const float m = static_cast<float>(0.9);
+    const float rate = static_cast<float>(lr);
+    for (size_t p = 0; p < values.size(); ++p) {
+      for (size_t j = 0; j < values[p].size(); ++j) {
+        ref_vel[p][j] = m * ref_vel[p][j] + grads[p][j];
+        ref_values[p][j] -= rate * ref_vel[p][j];
+      }
+      elementwise::SgdMomentumStepScalar(
+          scalar_values[p].data(), scalar_vel[p].data(), grads[p].data(),
+          grads[p].size(), m, rate);
+      SCOPED_TRACE(::testing::Message() << "step " << step << " size "
+                                        << values[p].size());
+      ExpectSameBits(ref_values[p], values[p]);
+      ExpectSameBits(ref_values[p], scalar_values[p]);
+    }
+    lr *= 0.5;
+    opt.set_lr(opt.lr() * 0.5);
+  }
+}
+
+TEST(ElementwiseParityTest, AccumulateMatchesScalarLoop) {
+  Rng rng(0x85ebca6b);
+  for (size_t n : kElementwiseSizes) {
+    std::vector<float> got = RandomFloats(&rng, n);
+    std::vector<float> scalar = got;
+    std::vector<float> want = got;
+    for (int step = 0; step < 10; ++step) {
+      const std::vector<float> src = RandomFloats(&rng, n);
+      elementwise::Accumulate(got.data(), src.data(), n);
+      elementwise::AccumulateScalar(scalar.data(), src.data(), n);
+      for (size_t i = 0; i < n; ++i) want[i] += src[i];
+    }
+    SCOPED_TRACE(::testing::Message() << "size " << n);
+    ExpectSameBits(want, got);
+    ExpectSameBits(want, scalar);
   }
 }
 
