@@ -8,12 +8,14 @@
 #include <vector>
 
 #include "core/labeled_set.h"
+#include "core/shared_sweep.h"
 #include "core/udf.h"
 #include "detect/simulated_detector.h"
 #include "exec/frame_pipeline.h"
 #include "exec/thread_pool.h"
 #include "nn/specialized_nn.h"
 #include "nn/tensor.h"
+#include "stats/bootstrap.h"
 #include "stats/control_variates.h"
 #include "stats/sampler.h"
 #include "util/random.h"
@@ -200,6 +202,83 @@ void BM_SmallNNTrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.max_train_frames);
 }
 BENCHMARK(BM_SmallNNTrain);
+
+// ---------------------------------------------------------------------------
+// A repeat query's fixed work: a weights-hit Train, the shared tier's run
+// read of a test-day sweep, the held-out bootstrap, and the per-frame Rng
+// the simulated detector seeds. Serving repeats these for every query.
+// ---------------------------------------------------------------------------
+
+void BM_SmallNNTrainWeightsHit(benchmark::State& state) {
+  // The blob a cold Train wrote, served back from an in-memory tier.
+  SharedSweepCache shared;
+  SweepCacheView cache(&shared, /*underlying=*/nullptr);
+  SpecializedNNConfig cfg = SmallNNConfig();
+  cfg.cache = &cache;
+  benchmark::DoNotOptimize(SpecializedNN::Train(Video(), {CarCounts()}, cfg));
+  for (auto _ : state) {
+    auto nn = SpecializedNN::Train(Video(), {CarCounts()}, cfg);
+    benchmark::DoNotOptimize(nn);
+  }
+}
+BENCHMARK(BM_SmallNNTrainWeightsHit);
+
+void BM_SharedSweepRunRead(benchmark::State& state) {
+  // A 4,500-frame test day of 6-class NN rows, resident in the shared tier.
+  constexpr size_t kWidth = 6;
+  std::vector<int64_t> frames(4500);
+  std::iota(frames.begin(), frames.end(), 0);
+  SharedSweepCache shared;
+  {
+    SweepCacheView writer(&shared, /*underlying=*/nullptr);
+    for (int64_t f : frames) {
+      writer.PutFrameFloats(1, f, std::vector<float>(kWidth, 0.25f));
+    }
+  }
+  std::vector<float> out(frames.size() * kWidth);
+  std::vector<size_t> miss;
+  for (auto _ : state) {
+    SweepCacheView view(&shared, /*underlying=*/nullptr);
+    miss.clear();
+    view.GetFrameFloatsRun(1, frames, kWidth, out.data(), &miss);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frames.size()));
+}
+BENCHMARK(BM_SharedSweepRunRead);
+
+void BM_BootstrapAbsError(benchmark::State& state) {
+  // The held-out bootstrap of a repo-benchmark aggregate: 1,500 frames,
+  // 200 resamples.
+  Rng rng(6);
+  std::vector<double> predicted(1500), truth(1500);
+  for (size_t i = 0; i < truth.size(); ++i) {
+    truth[i] = rng.Poisson(1.0);
+    predicted[i] = truth[i] + rng.Normal(0.0, 0.3);
+  }
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BootstrapAbsError(predicted, truth, 0.95, 200, ++seed));
+  }
+  state.SetItemsProcessed(state.iterations() * 200 * 1500);
+}
+BENCHMARK(BM_BootstrapAbsError);
+
+void BM_RngDetectorLifecycle(benchmark::State& state) {
+  // SimulatedDetector::Detect's Rng: seeded per frame, a handful of draws.
+  uint64_t frame = 0;
+  for (auto _ : state) {
+    Rng rng(HashCombine(0x5eed, frame++));
+    double sum = rng.Normal(0.0, 0.01) + rng.Normal(0.0, 0.01);
+    sum += rng.Bernoulli(0.1) ? 1.0 : 0.0;
+    sum += rng.Poisson(0.5);
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_RngDetectorLifecycle);
 
 // ---------------------------------------------------------------------------
 // Thread-count axes (PR 4): the sharded frame pipeline and batched NN

@@ -2,10 +2,11 @@
 # Tier-1 verify: configure + build (warnings as errors), the fast lane
 # first for quick feedback, then the slow suites twice — once against a
 # cold persistent detection store and once against the warm store the cold
-# pass just wrote. The warm pass checks both that stored artifacts replay
+# pass just wrote. The warm pass checks that stored artifacts replay
 # (store_invariance_test additionally asserts, in-process, that query
-# outputs and simulated costs are bit-identical cold vs warm) and that the
-# lane gets the expected wall-clock win. Usage: ci/check.sh [build-dir]
+# outputs and simulated costs are bit-identical cold vs warm); the storecli
+# reuse check below counts that a warm rerun does no NN work. Usage:
+# ci/check.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -279,19 +280,12 @@ else
   echo "==> storecli not built; skipping sketch round trip"
 fi
 
+# Both lane times are printed for the record only. Store reuse is gated by
+# the storecli work-count check above (a warm rerun trains, infers and
+# misses nothing); a wall-clock warm/cold ratio no longer separates a
+# working store from a broken one, because the warm lane is bounded by work
+# the store does not memoize and the cold lane keeps getting cheaper.
 echo "==> slow lane: cold ${COLD_SECS}s, warm ${WARM_SECS}s"
-# Regression canary for the store: a warm rerun must be at least 1.5x
-# faster. If this trips, store reuse silently broke — most likely a
-# fingerprint that is no longer process-stable, so every "warm" run
-# recomputes (which drives the ratio to ~1.0x). The floor started at 2x
-# (cold ~30s, warm ~2s) but compresses as PRs shrink the cold lane's
-# compute: warm time is dominated by work the store deliberately does not
-# memoize (synthetic rendering, process startup), so the ratio falls even
-# though reuse is intact — measured ~1.9x at cold ~9s / warm ~4.6s.
-if ! awk -v c="${COLD_SECS}" -v w="${WARM_SECS}" 'BEGIN { exit !(w * 3 <= c * 2) }'; then
-  echo "==> FAIL: warm slow lane (${WARM_SECS}s) is not >=1.5x faster than cold (${COLD_SECS}s)" >&2
-  exit 1
-fi
 
 # Gating AddressSanitizer + UndefinedBehaviorSanitizer lane: rebuild the
 # library and every fast suite with both sanitizers and run the fast

@@ -15,11 +15,17 @@ uint64_t DetectionNamespace(const SyntheticVideo& video,
 
 std::vector<Detection> CachedDetector::Detect(const SyntheticVideo& video,
                                               int64_t frame) const {
-  DetectionCacheKey key{video.fingerprint(), frame};
-  {
+  // Frames outside the day are computed (or read) every time, never
+  // memoized.
+  const bool memoized = frame >= 0 && frame < video.num_frames();
+  const size_t slot = static_cast<size_t>(frame);
+  if (memoized) {
     util::MutexLock lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+    auto it = cache_.find(video.fingerprint());
+    if (it != cache_.end() && slot < it->second.present.size() &&
+        it->second.present[slot]) {
+      return it->second.detections[slot];
+    }
   }
   // Compute outside the lock: the inner detector is deterministic, so two
   // racing computations of one frame produce identical vectors, whichever
@@ -44,8 +50,20 @@ std::vector<Detection> CachedDetector::Detect(const SyntheticVideo& video,
       }
     }
   }
+  if (!memoized) return dets;
   util::MutexLock lock(mu_);
-  return cache_.emplace(key, std::move(dets)).first->second;
+  Frames& frames = cache_[video.fingerprint()];
+  if (frames.present.empty()) {
+    frames.present.resize(static_cast<size_t>(video.num_frames()), 0);
+    frames.detections.resize(frames.present.size());
+  }
+  if (slot >= frames.present.size()) return dets;
+  if (!frames.present[slot]) {  // a racing compute may have landed first
+    frames.detections[slot] = std::move(dets);
+    frames.present[slot] = 1;
+    ++cached_frames_;
+  }
+  return frames.detections[slot];
 }
 
 }  // namespace blazeit

@@ -14,27 +14,6 @@ namespace blazeit {
 
 class DetectionStore;
 
-/// Composite cache key for memoized detections: the full stream-day
-/// fingerprint plus the frame. The pre-fix key hand-mixed (seed, frame)
-/// into one uint64_t, which collides for *any* two days sharing a seed —
-/// and the catalog gives every stream's train day the same seed — so one
-/// shared cache would silently replay stream A's detections for stream B.
-struct DetectionCacheKey {
-  uint64_t stream = 0;  // SyntheticVideo::fingerprint()
-  int64_t frame = 0;
-
-  bool operator==(const DetectionCacheKey& other) const {
-    return stream == other.stream && frame == other.frame;
-  }
-};
-
-struct DetectionCacheKeyHash {
-  size_t operator()(const DetectionCacheKey& key) const {
-    return static_cast<size_t>(
-        HashCombine(key.stream, static_cast<uint64_t>(key.frame)));
-  }
-};
-
 /// Namespace the detections of `video` by `detector` live under in a
 /// DetectionStore: (stream-day fingerprint x detector fingerprint) — never
 /// the raw seed, so days of different streams can share one store — salted
@@ -87,20 +66,33 @@ class CachedDetector : public ObjectDetector {
 
   size_t cache_size() const BLAZEIT_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
-    return cache_.size();
+    return cached_frames_;
   }
   void ClearCache() BLAZEIT_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     cache_.clear();
+    cached_frames_ = 0;
   }
 
  private:
+  /// One video's memoized frames, dense by frame (a day's frames are
+  /// 0 .. num_frames() - 1): slot f holds frame f's detections once
+  /// present[f] is set. A slot costs 25 bytes, where a hash node per frame
+  /// cost about 80.
+  struct Frames {
+    std::vector<std::vector<Detection>> detections;
+    std::vector<uint8_t> present;
+  };
+
   const ObjectDetector* inner_;
   DetectionStore* store_;
   mutable util::Mutex mu_;
-  mutable std::unordered_map<DetectionCacheKey, std::vector<Detection>,
-                             DetectionCacheKeyHash>
-      cache_ BLAZEIT_GUARDED_BY(mu_);
+  /// Keyed by the full stream-day fingerprint (SyntheticVideo::
+  /// fingerprint()), never the seed: the catalog gives every stream's
+  /// train day the same seed, so a seed key would replay one stream's
+  /// detections for another.
+  mutable std::unordered_map<uint64_t, Frames> cache_ BLAZEIT_GUARDED_BY(mu_);
+  mutable size_t cached_frames_ BLAZEIT_GUARDED_BY(mu_) = 0;
   mutable std::atomic<int64_t> store_hits_{0};
   mutable std::atomic<int64_t> store_misses_{0};
 };

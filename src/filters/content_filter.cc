@@ -6,29 +6,20 @@ namespace blazeit {
 
 std::vector<double> ContentFilter::ScoreBatch(
     const SyntheticVideo& video, const std::vector<int64_t>& frames) const {
-  const int64_t n = static_cast<int64_t>(frames.size());
   std::vector<double> out(frames.size(), 0.0);
 
-  // Serve cache hits first (serial: the store read path is lock-guarded
-  // but ordered access keeps hit accounting reproducible), leaving the
-  // misses for the parallel sweep.
-  std::vector<int64_t> miss;
+  // Serve cache hits first with one run read (serial: ordered access
+  // keeps hit accounting reproducible), leaving the misses for the
+  // parallel sweep.
+  std::vector<size_t> miss;
   ArtifactCache* cache = score_cache();
+  const uint64_t ns =
+      cache ? HashCombine(cache_identity(), video.fingerprint()) : 0;
   if (cache == nullptr) {
     miss.resize(frames.size());
-    std::iota(miss.begin(), miss.end(), int64_t{0});
+    std::iota(miss.begin(), miss.end(), size_t{0});
   } else {
-    const uint64_t ns = HashCombine(cache_identity(), video.fingerprint());
-    std::vector<double> cached;
-    for (int64_t i = 0; i < n; ++i) {
-      if (cache->GetFrameDoubles(ns, frames[static_cast<size_t>(i)],
-                                 &cached) &&
-          cached.size() == 1) {
-        out[static_cast<size_t>(i)] = cached[0];
-      } else {
-        miss.push_back(i);
-      }
-    }
+    cache->GetFrameDoublesRun(ns, frames, 1, out.data(), &miss);
   }
 
   // Misses render and score in fixed-size shards with per-worker scratch;
@@ -38,17 +29,13 @@ std::vector<double> ContentFilter::ScoreBatch(
       static_cast<int64_t>(miss.size()),
       [&](int64_t begin, int64_t end, exec::FramePipeline::Scratch* scratch) {
         for (int64_t j = begin; j < end; ++j) {
-          const size_t slot = static_cast<size_t>(miss[static_cast<size_t>(j)]);
+          const size_t slot = miss[static_cast<size_t>(j)];
           out[slot] = ScoreInto(video, frames[slot], &scratch->image);
         }
       });
 
   if (cache != nullptr) {
-    const uint64_t ns = HashCombine(cache_identity(), video.fingerprint());
-    for (int64_t i : miss) {
-      cache->PutFrameDoubles(ns, frames[static_cast<size_t>(i)],
-                             {out[static_cast<size_t>(i)]});
-    }
+    for (size_t i : miss) cache->PutFrameDoubles(ns, frames[i], {out[i]});
   }
   return out;
 }

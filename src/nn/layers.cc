@@ -13,6 +13,7 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng)
       w_grad_(in_dim, out_dim),
       b_(static_cast<size_t>(out_dim), 0.0f),
       b_grad_(b_.size(), 0.0f) {
+  if (rng == nullptr) return;  // weights to be loaded by the caller
   // He initialization for ReLU networks.
   double stddev = std::sqrt(2.0 / in_dim);
   for (float& w : w_.data()) w = static_cast<float>(rng->Normal(0.0, stddev));

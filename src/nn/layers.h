@@ -41,6 +41,8 @@ class Layer {
 /// Fully-connected layer: y = x W + b, with He-initialized weights.
 class Linear : public Layer {
  public:
+  /// He-initializes W from `rng`; a null `rng` leaves W zero, for a layer
+  /// whose trained weights the caller copies in through Params().
   Linear(int in_dim, int out_dim, Rng* rng);
 
   Matrix Forward(const Matrix& input) override;

@@ -60,6 +60,37 @@ struct SpecializedNN::Impl {
   uint64_t fingerprint = 0;
   ArtifactCache* cache = nullptr;
 
+  /// The trunk's Linear+ReLU blocks, then one Linear head per count head,
+  /// He-initialized from `rng` in that order; a null `rng` leaves every
+  /// weight zero for a caller that loads trained weights.
+  void BuildLayers(Rng* rng) {
+    trunk = std::make_unique<Sequential>();
+    int dim = input_dim;
+    for (int hidden : config.hidden_dims) {
+      trunk->Add(std::make_unique<Linear>(dim, hidden, rng));
+      trunk->Add(std::make_unique<ReLU>());
+      dim = hidden;
+    }
+    for (int classes : head_classes) {
+      heads.push_back(std::make_unique<Linear>(dim, classes, rng));
+    }
+  }
+
+  /// Weights plus biases of the layers BuildLayers makes, from the shapes
+  /// alone: the length a cached weights blob must have.
+  size_t ParamCount() const {
+    size_t total = 0;
+    size_t dim = static_cast<size_t>(input_dim);
+    for (int hidden : config.hidden_dims) {
+      total += (dim + 1) * static_cast<size_t>(hidden);
+      dim = static_cast<size_t>(hidden);
+    }
+    for (int classes : head_classes) {
+      total += (dim + 1) * static_cast<size_t>(classes);
+    }
+    return total;
+  }
+
   std::vector<ParamRef> AllParams() {
     std::vector<ParamRef> params = trunk->Params();
     for (auto& head : heads) {
@@ -154,55 +185,49 @@ Result<SpecializedNN> SpecializedNN::Train(
     clamped[h] = std::move(sub);
   }
 
-  // Build trunk and heads.
-  Rng rng(config.train.seed);
-  impl->trunk = std::make_unique<Sequential>();
-  int dim = impl->input_dim;
-  for (int hidden : config.hidden_dims) {
-    impl->trunk->Add(std::make_unique<Linear>(dim, hidden, &rng));
-    impl->trunk->Add(std::make_unique<ReLU>());
-    dim = hidden;
-  }
-  for (size_t h = 0; h < num_heads; ++h) {
-    impl->heads.push_back(
-        std::make_unique<Linear>(dim, impl->head_classes[h], &rng));
-  }
-
-  // Collect all parameters for the optimizer.
-  std::vector<ParamRef> params = impl->AllParams();
-
   // With a persistent cache, a previous process may already have trained
   // this exact model (same day, labels, and config — the fingerprint covers
-  // them all). Loading the weights skips only the epoch loop below; the
-  // architecture, head sizing, and trained_frames accounting above ran
-  // identically, so a warm model is indistinguishable from a cold one.
+  // them all). The blob is looked up before any layer exists: a hit builds
+  // the layers without their He init, copies the weights in and never
+  // seeds the training Rng, so it skips all of the work below that the
+  // loaded weights would overwrite. The architecture, head sizing, and
+  // trained_frames accounting above ran identically, so a warm model is
+  // indistinguishable from a cold one. A miss, or a blob of the wrong
+  // length, runs the cold sequence unchanged: Rng, trunk and head init,
+  // training.
   impl->fingerprint = TrainFingerprint(train_day, head_labels, config);
   impl->cache = config.cache;
-  if (config.cache != nullptr) {
-    size_t total_params = 0;
-    for (const ParamRef& p : params) total_params += p.value->size();
-    std::vector<float> blob;
-    if (config.cache->GetBlob(impl->fingerprint, &blob)) {
-      if (blob.size() == total_params) {
-        size_t offset = 0;
-        for (const ParamRef& p : params) {
-          std::copy(blob.begin() + static_cast<std::ptrdiff_t>(offset),
-                    blob.begin() +
-                        static_cast<std::ptrdiff_t>(offset + p.value->size()),
-                    p.value->begin());
-          offset += p.value->size();
-        }
-        static obs::Counter* weight_hits =
-            obs::MetricsRegistry::Global().GetCounter(
-                "nn.weights_cache_hits", obs::Stability::kStable);
-        weight_hits->Add();
-        return SpecializedNN(std::move(impl));
-      }
+  std::vector<float> blob;
+  bool loaded = false;
+  if (config.cache != nullptr &&
+      config.cache->GetBlob(impl->fingerprint, &blob)) {
+    const size_t total_params = impl->ParamCount();
+    loaded = blob.size() == total_params;
+    if (!loaded) {
       BLAZEIT_LOG(kWarning)
           << "cached NN weights have " << blob.size() << " params, model has "
           << total_params << "; retraining";
     }
   }
+  if (loaded) {
+    impl->BuildLayers(/*rng=*/nullptr);
+    auto next = blob.begin();
+    for (const ParamRef& p : impl->AllParams()) {
+      const auto end = next + static_cast<std::ptrdiff_t>(p.value->size());
+      std::copy(next, end, p.value->begin());
+      next = end;
+    }
+    static obs::Counter* weight_hits =
+        obs::MetricsRegistry::Global().GetCounter("nn.weights_cache_hits",
+                                                  obs::Stability::kStable);
+    weight_hits->Add();
+    return SpecializedNN(std::move(impl));
+  }
+
+  Rng rng(config.train.seed);
+  impl->BuildLayers(&rng);
+  // Collect all parameters for the optimizer.
+  std::vector<ParamRef> params = impl->AllParams();
 
   SgdOptimizer opt(params, config.train.lr, config.train.momentum);
 
@@ -267,7 +292,7 @@ Result<SpecializedNN> SpecializedNN::Train(
     opt.set_lr(opt.lr() * config.train.lr_decay);
   }
   if (config.cache != nullptr) {
-    std::vector<float> blob;
+    blob.clear();
     for (const ParamRef& p : params) {
       blob.insert(blob.end(), p.value->begin(), p.value->end());
     }
@@ -309,16 +334,7 @@ std::vector<float> SpecializedNN::ProbsForFrames(
   const uint64_t ns =
       cache ? HashCombine(impl_->fingerprint, video.fingerprint()) : 0;
   if (cache != nullptr) {
-    std::vector<float> cached;
-    for (size_t i = 0; i < frames.size(); ++i) {
-      if (cache->GetFrameFloats(ns, frames[i], &cached) &&
-          cached.size() == concat_size) {
-        std::copy(cached.begin(), cached.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(i * concat_size));
-      } else {
-        miss.push_back(i);
-      }
-    }
+    cache->GetFrameFloatsRun(ns, frames, concat_size, out.data(), &miss);
   } else {
     miss.resize(frames.size());
     std::iota(miss.begin(), miss.end(), size_t{0});

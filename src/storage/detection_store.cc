@@ -331,18 +331,23 @@ Result<std::unique_ptr<DetectionStore>> DetectionStore::Open(
     }
     const size_t segment_index = shard.segments.size();
     // Moved out of the reader: keeping both copies resident would double
-    // index memory across a large store.
-    for (const auto& [frame, offset] : reader.value()->ReleaseIndex()) {
+    // index memory across a large store. Folded in ascending frame order,
+    // which keeps a day's frames in the index's dense slots.
+    std::unordered_map<int64_t, uint64_t> released =
+        reader.value()->ReleaseIndex();
+    std::vector<std::pair<int64_t, uint64_t>> records(released.begin(),
+                                                      released.end());
+    released.clear();
+    std::sort(records.begin(), records.end());
+    for (const auto& [frame, offset] : records) {
       // First segment (in sorted name order) wins on duplicate frames —
       // the same first-write-wins rule PutRaw and Flush apply — so every
       // reopening process resolves a duplicate to the same payload. A
       // losing record stays on disk as a shadowed duplicate until Compact
       // rewrites the namespace.
-      auto [it, inserted] =
-          shard.disk_index.emplace(frame,
-                                   std::make_pair(segment_index, offset));
-      (void)it;
-      if (!inserted) ++shard.shadowed;
+      if (!shard.disk_index.Insert(frame, {segment_index, offset})) {
+        ++shard.shadowed;
+      }
     }
     shard.segments.push_back(std::move(reader).value());
   }
@@ -362,15 +367,87 @@ bool DetectionStore::Contains(uint64_t ns, int64_t frame) const {
   auto it = shards_.find(ns);
   if (it == shards_.end()) return false;
   return it->second.pending.count(frame) > 0 ||
-         it->second.disk_index.count(frame) > 0;
+         it->second.disk_index.Contains(frame);
+}
+
+bool DetectionStore::FrameIndex::Insert(int64_t frame, Location where) {
+  if (Contains(frame)) return false;
+  BLAZEIT_CHECK(where.first < kAbsent);
+  const size_t slot = static_cast<size_t>(frame);
+  if (frame >= 0 && slot < std::max(segment_.size(), 2 * size_ + kDenseSlack)) {
+    if (slot >= segment_.size()) {
+      const int64_t old_end = static_cast<int64_t>(segment_.size());
+      segment_.resize(slot + 1, kAbsent);
+      offset_.resize(slot + 1, 0);
+      // Sparse frames the dense slots now cover move into them, so sparse
+      // frames stay negative or past every dense slot.
+      for (auto it = sparse_.lower_bound(old_end);
+           it != sparse_.end() && it->first < frame;
+           it = sparse_.erase(it)) {
+        segment_[static_cast<size_t>(it->first)] =
+            static_cast<uint32_t>(it->second.first);
+        offset_[static_cast<size_t>(it->first)] = it->second.second;
+      }
+    }
+    segment_[slot] = static_cast<uint32_t>(where.first);
+    offset_[slot] = where.second;
+  } else {
+    sparse_.emplace(frame, where);
+  }
+  ++size_;
+  return true;
+}
+
+std::optional<DetectionStore::FrameIndex::Location>
+DetectionStore::FrameIndex::Find(int64_t frame) const {
+  const size_t slot = static_cast<size_t>(frame);
+  if (frame >= 0 && slot < segment_.size()) {
+    if (segment_[slot] == kAbsent) return std::nullopt;
+    return Location{segment_[slot], offset_[slot]};
+  }
+  auto it = sparse_.find(frame);
+  if (it == sparse_.end()) return std::nullopt;
+  return it->second;
+}
+
+void DetectionStore::FrameIndex::Erase(int64_t frame) {
+  const size_t slot = static_cast<size_t>(frame);
+  if (frame >= 0 && slot < segment_.size()) {
+    if (segment_[slot] == kAbsent) return;
+    segment_[slot] = kAbsent;
+  } else if (sparse_.erase(frame) == 0) {
+    return;
+  }
+  --size_;
+}
+
+void DetectionStore::FrameIndex::Clear() {
+  segment_.clear();
+  offset_.clear();
+  sparse_.clear();
+  size_ = 0;
+}
+
+std::vector<int64_t> DetectionStore::FrameIndex::Frames() const {
+  std::vector<int64_t> frames;
+  frames.reserve(size_);
+  // Sparse frames are negative or lie past every dense slot.
+  auto sparse = sparse_.begin();
+  for (; sparse != sparse_.end() && sparse->first < 0; ++sparse) {
+    frames.push_back(sparse->first);
+  }
+  for (size_t slot = 0; slot < segment_.size(); ++slot) {
+    if (segment_[slot] != kAbsent) frames.push_back(static_cast<int64_t>(slot));
+  }
+  for (; sparse != sparse_.end(); ++sparse) frames.push_back(sparse->first);
+  return frames;
 }
 
 std::vector<int64_t> DetectionStore::ResolvedFrames(const Shard& shard) {
-  std::vector<int64_t> frames;
-  frames.reserve(shard.disk_index.size() + shard.pending.size());
-  for (const auto& [frame, _] : shard.disk_index) frames.push_back(frame);
+  std::vector<int64_t> frames = shard.disk_index.Frames();
+  frames.reserve(frames.size() + shard.pending.size());
   for (const auto& [frame, _] : shard.pending) {
-    if (shard.disk_index.count(frame) == 0) frames.push_back(frame);
+    if (!shard.disk_index.Contains(frame)) frames.push_back(frame);
   }
   std::sort(frames.begin(), frames.end());
   return frames;
@@ -380,9 +457,9 @@ std::optional<Result<std::string>> DetectionStore::ReadResolved(
     const Shard& shard, int64_t frame) {
   auto pending = shard.pending.find(frame);
   if (pending != shard.pending.end()) return pending->second;
-  auto disk = shard.disk_index.find(frame);
-  if (disk == shard.disk_index.end()) return std::nullopt;
-  const auto& [segment_index, offset] = disk->second;
+  const std::optional<FrameIndex::Location> disk = shard.disk_index.Find(frame);
+  if (!disk.has_value()) return std::nullopt;
+  const auto& [segment_index, offset] = *disk;
   return shard.segments[segment_index]->ReadPayloadAt(offset);
 }
 
@@ -416,7 +493,7 @@ Status DetectionStore::PutRaw(uint64_t ns, int64_t frame,
   // First write wins: records are deterministic per (namespace, frame), so
   // a duplicate Put is a repeat of known content, and keeping the indexed
   // copy stable avoids rewriting it into the next segment.
-  if (shard.disk_index.count(frame) > 0) return Status::OK();
+  if (shard.disk_index.Contains(frame)) return Status::OK();
   auto [it, inserted] = shard.pending.emplace(frame, std::move(payload));
   (void)it;
   if (inserted) ++pending_records_;
@@ -602,12 +679,12 @@ Status DetectionStore::PublishSegmentLocked(uint64_t ns, Shard* shard,
       old_paths.push_back(segment->path());
     }
     shard->segments.clear();
-    shard->disk_index.clear();
+    shard->disk_index.Clear();
     shard->shadowed = 0;
   }
   const size_t segment_index = shard->segments.size();
   for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-    shard->disk_index.emplace(frame, std::make_pair(segment_index, offset));
+    shard->disk_index.Insert(frame, {segment_index, offset});
   }
   shard->segments.push_back(std::move(reader).value());
   pending_records_ -= static_cast<int64_t>(shard->pending.size());
@@ -621,13 +698,13 @@ Status DetectionStore::PublishSegmentLocked(uint64_t ns, Shard* shard,
 
 Result<int64_t> DetectionStore::DropUndecodableLocked(Shard* shard) {
   std::vector<int64_t> drop;
-  for (const auto& [frame, _] : shard->disk_index) {
+  for (int64_t frame : shard->disk_index.Frames()) {
     if (shard->pending.count(frame) > 0) continue;  // overridden, never read
     auto payload = ReadResolved(*shard, frame);
     if (!payload->ok()) return payload->status();
     if (!PayloadDecodes(payload->value())) drop.push_back(frame);
   }
-  for (int64_t frame : drop) shard->disk_index.erase(frame);
+  for (int64_t frame : drop) shard->disk_index.Erase(frame);
   return static_cast<int64_t>(drop.size());
 }
 
@@ -640,7 +717,7 @@ Status DetectionStore::ReplaceNamespaceLocked(
   // Clearing the disk index makes the rewrite's resolved view exactly the
   // replacement set; the superseded segments are still listed in
   // shard.segments, so the rewrite removes (or strands-and-retries) them.
-  shard.disk_index.clear();
+  shard.disk_index.Clear();
   shard.shadowed = 0;
   return PublishSegmentLocked(ns, &shard, /*replace=*/true);
 }
@@ -744,7 +821,7 @@ Status DetectionStore::RepairLocked(uint64_t ns, int64_t frame,
   auto [it, inserted] = shard.pending.insert_or_assign(frame, payload);
   (void)it;
   if (inserted) ++pending_records_;
-  if (shard.disk_index.count(frame) == 0) {
+  if (!shard.disk_index.Contains(frame)) {
     // Nothing on disk to override: the regular flush path suffices (and
     // rebuilds sketches when it runs).
     return Status::OK();
@@ -843,25 +920,19 @@ std::vector<uint64_t> DetectionStore::Namespaces() const {
   return out;
 }
 
-namespace {
-
-int64_t ResolvedRecordCount(
-    const std::unordered_map<int64_t, std::pair<size_t, uint64_t>>& disk_index,
-    const std::map<int64_t, std::string>& pending) {
-  int64_t total = static_cast<int64_t>(disk_index.size());
-  for (const auto& [frame, _] : pending) {
-    if (disk_index.count(frame) == 0) ++total;
+int64_t DetectionStore::ResolvedRecordCount(const Shard& shard) {
+  int64_t total = static_cast<int64_t>(shard.disk_index.size());
+  for (const auto& [frame, _] : shard.pending) {
+    if (!shard.disk_index.Contains(frame)) ++total;
   }
   return total;
 }
-
-}  // namespace
 
 int64_t DetectionStore::RecordCount(uint64_t ns) const {
   util::ReaderLock lock(mu_);
   auto it = shards_.find(ns);
   if (it == shards_.end()) return 0;
-  return ResolvedRecordCount(it->second.disk_index, it->second.pending);
+  return ResolvedRecordCount(it->second);
 }
 
 std::vector<DetectionStore::NamespaceStats> DetectionStore::PerNamespaceStats()
@@ -873,7 +944,7 @@ std::vector<DetectionStore::NamespaceStats> DetectionStore::PerNamespaceStats()
     NamespaceStats stats;
     stats.ns = ns;
     stats.segments = static_cast<int64_t>(shard.segments.size());
-    stats.records = ResolvedRecordCount(shard.disk_index, shard.pending);
+    stats.records = ResolvedRecordCount(shard);
     stats.pending = static_cast<int64_t>(shard.pending.size());
     stats.shadowed = shard.shadowed;
     stats.repair_generation = shard.repair_generation;
@@ -886,7 +957,7 @@ int64_t DetectionStore::TotalRecords() const {
   util::ReaderLock lock(mu_);
   int64_t total = 0;
   for (const auto& [ns, shard] : shards_) {
-    total += ResolvedRecordCount(shard.disk_index, shard.pending);
+    total += ResolvedRecordCount(shard);
   }
   return total;
 }

@@ -302,13 +302,44 @@ class DetectionStore {
   int64_t ShadowedRecords() const;
 
  private:
+  /// frame -> (segment index, offset) of one namespace's on-disk records.
+  /// A namespace's frames are a day's small non-negative indices, so they
+  /// are kept dense: 12 bytes per frame slot, where a hash node per record
+  /// took about 56. The dense slots stay within twice the record count
+  /// plus kDenseSlack, so an outlying frame id (and the blob sentinel -1)
+  /// goes to a side map instead of growing the array.
+  class FrameIndex {
+   public:
+    using Location = std::pair<size_t, uint64_t>;
+
+    /// Adds `frame` unless it is present; returns whether it was added.
+    bool Insert(int64_t frame, Location where);
+    std::optional<Location> Find(int64_t frame) const;
+    bool Contains(int64_t frame) const { return Find(frame).has_value(); }
+    void Erase(int64_t frame);
+    void Clear();
+    size_t size() const { return size_; }
+    /// Every indexed frame, in ascending order.
+    std::vector<int64_t> Frames() const;
+
+   private:
+    static constexpr uint32_t kAbsent = ~uint32_t{0};
+    static constexpr size_t kDenseSlack = 4096;
+
+    /// Slot f holds frame f's location; kAbsent marks an empty slot.
+    std::vector<uint32_t> segment_;
+    std::vector<uint64_t> offset_;
+    std::map<int64_t, Location> sparse_;
+    size_t size_ = 0;
+  };
+
   struct Shard {
     /// One reader per on-disk segment of this namespace.
     std::vector<std::unique_ptr<StoreReader>> segments;
-    /// frame -> (segment index, offset); the first segment in sorted name
-    /// order wins on duplicates (matching PutRaw's first-write-wins), so
-    /// duplicate frames resolve identically across opens and processes.
-    std::unordered_map<int64_t, std::pair<size_t, uint64_t>> disk_index;
+    /// The first segment in sorted name order wins on duplicates (matching
+    /// PutRaw's first-write-wins), so duplicate frames resolve identically
+    /// across opens and processes.
+    FrameIndex disk_index;
     /// Records accepted by Put but not yet flushed (frame-ordered so
     /// segments are written sorted).
     std::map<int64_t, std::string> pending;
@@ -342,6 +373,8 @@ class DetectionStore {
   /// Every frame a read of `shard` resolves — disk winners plus
   /// pending-only frames — in ascending order.
   static std::vector<int64_t> ResolvedFrames(const Shard& shard);
+  /// How many frames ResolvedFrames would list.
+  static int64_t ResolvedRecordCount(const Shard& shard);
   /// The one record read behind GetRaw, Scan, every rewrite and the
   /// sketch rebuild: the pending copy first (it overrides disk; only
   /// Repair creates such a collision), else the first-write-wins disk

@@ -1,6 +1,8 @@
 #ifndef BLAZEIT_UTIL_ARTIFACT_CACHE_H_
 #define BLAZEIT_UTIL_ARTIFACT_CACHE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +55,46 @@ class ArtifactCache {
   /// One blob per namespace (trained weights). Returns false on miss.
   virtual bool GetBlob(uint64_t ns, std::vector<float>* out) = 0;
   virtual void PutBlob(uint64_t ns, const std::vector<float>& values) = 0;
+
+  /// Run reads: the rows of `frames` under `ns`, each `width` values wide,
+  /// into `out` (frames.size() x width, row-major). The position in
+  /// `frames` of each frame with no row of that width is appended to
+  /// `miss`, and its slot of `out` is left as it was. The defaults loop the
+  /// per-frame Get, so an implementation counts and times a run exactly as
+  /// it would the same Gets one by one. SweepCacheView serves a run under
+  /// one lock; a store tier can override it to read a run of adjacent
+  /// records with one positional read. Sweeps (NN outputs, filter scores)
+  /// read their frames with one call.
+  virtual void GetFrameFloatsRun(uint64_t ns,
+                                 const std::vector<int64_t>& frames,
+                                 size_t width, float* out,
+                                 std::vector<size_t>* miss) {
+    GetRunByFrame(&ArtifactCache::GetFrameFloats, ns, frames, width, out,
+                  miss);
+  }
+  virtual void GetFrameDoublesRun(uint64_t ns,
+                                  const std::vector<int64_t>& frames,
+                                  size_t width, double* out,
+                                  std::vector<size_t>* miss) {
+    GetRunByFrame(&ArtifactCache::GetFrameDoubles, ns, frames, width, out,
+                  miss);
+  }
+
+ private:
+  template <typename T>
+  void GetRunByFrame(bool (ArtifactCache::*get)(uint64_t, int64_t,
+                                                std::vector<T>*),
+                     uint64_t ns, const std::vector<int64_t>& frames,
+                     size_t width, T* out, std::vector<size_t>* miss) {
+    std::vector<T> row;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      if ((this->*get)(ns, frames[i], &row) && row.size() == width) {
+        std::copy(row.begin(), row.end(), out + i * width);
+      } else {
+        miss->push_back(i);
+      }
+    }
+  }
 };
 
 }  // namespace blazeit

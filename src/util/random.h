@@ -1,6 +1,7 @@
 #ifndef BLAZEIT_UTIL_RANDOM_H_
 #define BLAZEIT_UTIL_RANDOM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -8,9 +9,54 @@
 
 namespace blazeit {
 
+/// MT19937-64 with std::mt19937_64's seeding and output stream, and its
+/// result_type, min() and max(), so libstdc++'s distributions and
+/// std::shuffle take the same paths over it and return the same values.
+/// It refills its 312-word state a block at a time: the twist and the
+/// tempering of all 312 outputs in one pass, eight words per AVX-512
+/// vector where the CPU has it (util/cpu_features.h) and the scalar loop
+/// otherwise. Every lane computes the scalar step, so the tiers' blocks
+/// are identical; a draw is then one load from the tempered block.
+/// util_test pins the stream against std::mt19937_64 on every tier.
+class Mt19937_64 {
+ public:
+  using result_type = std::mt19937_64::result_type;
+  static constexpr size_t kStateWords = 312;
+
+  explicit Mt19937_64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ == kStateWords) Refill();
+    return block_[pos_++];
+  }
+
+  /// The unread outputs of the current block, refilling it first when it
+  /// is spent; `*count` receives how many there are (at least one).
+  /// Nothing is consumed until Skip.
+  const result_type* Peek(size_t* count) {
+    if (pos_ == kStateWords) Refill();
+    *count = kStateWords - pos_;
+    return block_ + pos_;
+  }
+  /// Consumes `count` outputs of the block Peek returned.
+  void Skip(size_t count) { pos_ += count; }
+
+ private:
+  void Refill();
+
+  alignas(64) result_type state_[kStateWords];
+  /// Tempered outputs of state_; the next draw is block_[pos_].
+  alignas(64) result_type block_[kStateWords];
+  size_t pos_ = kStateWords;
+};
+
 /// Seeded pseudo-random generator used everywhere in the library so that
 /// scene generation, detector noise, NN initialization, and sampling are all
-/// reproducible. Wraps std::mt19937_64 with the distributions we need.
+/// reproducible. Wraps Mt19937_64 (std::mt19937_64's stream) with the
+/// distributions we need.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -21,6 +67,12 @@ class Rng {
   double Uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
+  /// `count` indices uniform in [0, range), range >= 1: the values of
+  /// `count` successive std::uniform_int_distribution<uint64_t>(0,
+  /// range - 1) draws (UniformInt(0, range - 1) for range <= 2^63), from
+  /// the same engine outputs, rejections included. Maps a block of engine
+  /// outputs per step instead of one distribution call per index.
+  void UniformIndices(uint64_t range, size_t count, uint64_t* out);
   /// Standard normal draw scaled to N(mean, stddev^2).
   double Normal(double mean, double stddev);
   /// Poisson draw with the given mean.
@@ -35,10 +87,10 @@ class Rng {
   /// if k >= n returns the full range.
   std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// SplitMix64 hash; used to derive per-frame deterministic seeds.

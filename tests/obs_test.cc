@@ -337,6 +337,179 @@ TEST(SweepCacheViewCountingTest, SharedTierHitsCountAsSharedAndPerKind) {
 }
 
 // ---------------------------------------------------------------------------
+// Run reads through the shared tier (dense rows, one lock per run)
+
+int64_t GlobalCounter(const std::string& name) {
+  return MetricsRegistry::Global()
+      .GetCounter(name, Stability::kUnstable)
+      ->value();
+}
+
+TEST(SharedSweepRunReadTest, FirstWriteWinsAndRowsCopyOut) {
+  SharedSweepCache shared;
+  SweepCacheView view(&shared, /*underlying=*/nullptr);
+  view.PutFrameFloats(7, 3, {1.0f, 2.0f});
+  view.PutFrameFloats(7, 3, {9.0f, 9.0f});  // later write: dropped
+  view.PutFrameFloats(7, 0, {3.0f, 4.0f});
+  std::vector<float> out(4, -1.0f);
+  std::vector<size_t> miss;
+  view.GetFrameFloatsRun(7, {3, 0}, 2, out.data(), &miss);
+  EXPECT_TRUE(miss.empty());
+  EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}));
+  EXPECT_EQ(shared.frame_float_records(), 2);
+}
+
+TEST(SharedSweepRunReadTest, GapNegativeAndOtherWidthFramesMiss) {
+  SharedSweepCache shared;
+  SweepCacheView view(&shared, /*underlying=*/nullptr);
+  view.PutFrameDoubles(5, 0, {0.5, 1.5});
+  view.PutFrameDoubles(5, 2, {2.5, 3.5});
+  view.PutFrameDoubles(5, -1, {7.0, 7.0});  // negative frames are not kept
+  view.PutFrameDoubles(5, 4, {1.0});        // nor rows of another width
+  std::vector<double> out(10, -1.0);
+  std::vector<size_t> miss;
+  view.GetFrameDoublesRun(5, {0, 1, -1, 2, 4}, 2, out.data(), &miss);
+  // The gap frame 1, the negative frame and frame 4 (only a 1-wide row
+  // was offered) miss; their slots are left as they were.
+  EXPECT_EQ(miss, (std::vector<size_t>{1, 2, 4}));
+  EXPECT_EQ(out, (std::vector<double>{0.5, 1.5, -1.0, -1.0, -1.0, -1.0, 2.5,
+                                      3.5, -1.0, -1.0}));
+  // A run read at another width than the namespace's misses every frame.
+  miss.clear();
+  std::vector<double> wide(3, -1.0);
+  view.GetFrameDoublesRun(5, {0}, 3, wide.data(), &miss);
+  EXPECT_EQ(miss, std::vector<size_t>{0});
+  EXPECT_EQ(view.stats().frame_double_hits, 2);
+  EXPECT_EQ(view.stats().frame_double_misses, 4);
+  EXPECT_EQ(view.stats().shared_filter_frames, 2);
+}
+
+TEST(SharedSweepRunReadTest, PersistentHitsArePromoted) {
+  SharedSweepCache shared;
+  MapCache persistent;
+  for (int64_t f = 0; f < 5; ++f) {
+    persistent.PutFrameFloats(9, f, {static_cast<float>(f), 0.5f});
+  }
+  const int64_t promotions = GlobalCounter("cache.promotions{tier=shared}");
+  std::vector<float> out(12, -1.0f);
+  std::vector<size_t> miss;
+  {
+    SweepCacheView leader(&shared, &persistent);
+    leader.GetFrameFloatsRun(9, {0, 1, 2, 3, 4, 5}, 2, out.data(), &miss);
+    EXPECT_EQ(miss, std::vector<size_t>{5});
+    EXPECT_EQ(out[8], 4.0f);
+    EXPECT_EQ(leader.stats().frame_float_hits, 5);
+    EXPECT_EQ(leader.stats().frame_float_misses, 1);
+    EXPECT_EQ(leader.stats().shared_nn_frames, 0);
+  }
+  EXPECT_EQ(GlobalCounter("cache.promotions{tier=shared}"), promotions + 5);
+  EXPECT_EQ(shared.frame_float_records(), 5);
+  // A follower with no persistent tier reads the promoted rows from memory.
+  const int64_t shared_hits = GlobalCounter("cache.hits{tier=shared}");
+  SweepCacheView follower(&shared, /*underlying=*/nullptr);
+  std::vector<float> again(10, -1.0f);
+  miss.clear();
+  follower.GetFrameFloatsRun(9, {4, 3, 2, 1, 0}, 2, again.data(), &miss);
+  EXPECT_TRUE(miss.empty());
+  EXPECT_EQ(again, (std::vector<float>{4.0f, 0.5f, 3.0f, 0.5f, 2.0f, 0.5f,
+                                       1.0f, 0.5f, 0.0f, 0.5f}));
+  EXPECT_EQ(follower.stats().shared_nn_frames, 5);
+  EXPECT_EQ(GlobalCounter("cache.hits{tier=shared}"), shared_hits + 5);
+}
+
+// One run read must leave the stats and the resident record count exactly
+// where a Get per frame leaves them: some frames resident in the shared
+// tier, some only persistent, some nowhere. (A sweep's frames are
+// distinct; a frame repeated within one run would be read from the
+// persistent tier twice rather than once and then from memory.)
+TEST(SharedSweepRunReadTest, RunCountsLikeGetsPerFrame) {
+  struct Tiers {
+    SharedSweepCache shared;
+    MapCache persistent;
+  };
+  auto fill = [](Tiers* t) {
+    SweepCacheView writer(&t->shared, /*underlying=*/nullptr);
+    for (int64_t f : {0, 2, 4}) writer.PutFrameFloats(1, f, {1.0f * f});
+    for (int64_t f : {1, 2, 5}) t->persistent.PutFrameFloats(1, f, {2.0f * f});
+  };
+  const std::vector<int64_t> frames = {6, 0, 1, 2, 3, 4, 5};
+  Tiers run_tiers;
+  fill(&run_tiers);
+  SweepCacheView run_view(&run_tiers.shared, &run_tiers.persistent);
+  std::vector<float> run_out(frames.size(), -1.0f);
+  std::vector<size_t> run_miss;
+  run_view.GetFrameFloatsRun(1, frames, 1, run_out.data(), &run_miss);
+
+  Tiers frame_tiers;
+  fill(&frame_tiers);
+  SweepCacheView frame_view(&frame_tiers.shared, &frame_tiers.persistent);
+  std::vector<float> frame_out(frames.size(), -1.0f);
+  std::vector<size_t> frame_miss;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    std::vector<float> row;
+    if (frame_view.GetFrameFloats(1, frames[i], &row) && row.size() == 1) {
+      frame_out[i] = row[0];
+    } else {
+      frame_miss.push_back(i);
+    }
+  }
+
+  EXPECT_EQ(run_out, frame_out);
+  EXPECT_EQ(run_miss, frame_miss);
+  EXPECT_EQ(run_miss, (std::vector<size_t>{0, 4}));
+  EXPECT_EQ(run_out[3], 2.0f);  // frame 2: the shared tier's row wins
+  const CacheStats& a = run_view.stats();
+  const CacheStats& b = frame_view.stats();
+  EXPECT_EQ(a.frame_float_hits, b.frame_float_hits);
+  EXPECT_EQ(a.frame_float_misses, b.frame_float_misses);
+  EXPECT_EQ(a.shared_nn_frames, b.shared_nn_frames);
+  EXPECT_EQ(a.frame_float_hits, 5);
+  EXPECT_EQ(a.frame_float_misses, 2);
+  EXPECT_EQ(a.shared_nn_frames, 3);
+  EXPECT_EQ(run_tiers.shared.frame_float_records(),
+            frame_tiers.shared.frame_float_records());
+  EXPECT_EQ(run_tiers.shared.frame_float_records(), 5);
+}
+
+// Writers and a run reader on one shared tier from two threads (the
+// admission queue runs independent groups concurrently). Every row a read
+// returns is the one written for its frame. Runs in the TSan lane with
+// the other fast suites.
+TEST(SharedSweepRunReadTest, PutsAndRunReadsRace) {
+  SharedSweepCache shared;
+  constexpr int64_t kFrames = 2000;
+  std::thread writer([&] {
+    SweepCacheView view(&shared, /*underlying=*/nullptr);
+    for (int64_t f = kFrames - 1; f >= 0; --f) {
+      view.PutFrameFloats(3, f, {static_cast<float>(f), -1.0f});
+    }
+  });
+  std::vector<int64_t> frames(kFrames);
+  for (int64_t f = 0; f < kFrames; ++f) frames[static_cast<size_t>(f)] = f;
+  SweepCacheView reader(&shared, /*underlying=*/nullptr);
+  size_t last_misses = frames.size();
+  for (int round = 0; round < 50 && last_misses > 0; ++round) {
+    std::vector<float> out(2 * frames.size(), 0.0f);
+    std::vector<size_t> miss;
+    reader.GetFrameFloatsRun(3, frames, 2, out.data(), &miss);
+    std::vector<bool> missed(frames.size(), false);
+    for (size_t m : miss) missed[m] = true;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      if (missed[i]) continue;
+      ASSERT_EQ(out[2 * i], static_cast<float>(i));
+      ASSERT_EQ(out[2 * i + 1], -1.0f);
+    }
+    last_misses = miss.size();
+  }
+  writer.join();
+  std::vector<float> out(2 * frames.size(), 0.0f);
+  std::vector<size_t> miss;
+  reader.GetFrameFloatsRun(3, frames, 2, out.data(), &miss);
+  EXPECT_TRUE(miss.empty());
+  EXPECT_EQ(shared.frame_float_records(), kFrames);
+}
+
+// ---------------------------------------------------------------------------
 // ExecutionReport
 
 TEST(ReportTest, FillCostReconcilesWithMeterExactly) {

@@ -14,6 +14,7 @@
 #include "detect/simulated_detector.h"
 #include "exec/thread_pool.h"
 #include "nn/loss.h"
+#include "obs/metrics.h"
 #include "stats/online_stats.h"
 #include "video/datasets.h"
 #include "video/render_features.h"
@@ -161,12 +162,18 @@ class WeightRecordingCache : public ArtifactCache {
   }
   void PutFrameDoubles(uint64_t, int64_t,
                        const std::vector<double>&) override {}
-  bool GetBlob(uint64_t, std::vector<float>*) override { return false; }
+  bool GetBlob(uint64_t, std::vector<float>* out) override {
+    if (served.empty()) return false;
+    *out = served;
+    return true;
+  }
   void PutBlob(uint64_t, const std::vector<float>& values) override {
     weights = values;
   }
 
   std::vector<float> weights;
+  /// What GetBlob serves; empty means a miss.
+  std::vector<float> served;
 };
 
 // Batched inference against an independent model: the weights Train
@@ -275,6 +282,84 @@ TEST(SpecializedNNReferenceTest, TrainedWeightsArePinned) {
   }
   EXPECT_EQ(cache.weights.size(), 32965u);
   EXPECT_EQ(hash, 0xac47c7f00c01aefULL);
+}
+
+int64_t WeightsCacheHits() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("nn.weights_cache_hits", obs::Stability::kStable)
+      ->value();
+}
+
+// A cached blob whose length does not fit the model is ignored: Train runs
+// the cold sequence (Rng, trunk and head init, training) and writes back
+// exactly the weights TrainedWeightsArePinned pins.
+TEST(SpecializedNNReferenceTest, WrongLengthBlobRetrainsToPinnedWeights) {
+  auto day =
+      SyntheticVideo::Create(TaipeiConfig(), kTrainDaySeed, 1500).value();
+  SimulatedDetector detector;
+  LabeledSet labels(day.get(), &detector, 0.5);
+  WeightRecordingCache cache;
+  cache.served.assign(32964, 0.5f);  // one parameter short
+  SpecializedNNConfig cfg;
+  cfg.raster_width = 16;
+  cfg.raster_height = 16;
+  cfg.hidden_dims = {32};
+  cfg.cache = &cache;
+  const int64_t hits_before = WeightsCacheHits();
+  auto nn = SpecializedNN::Train(*day, {labels.Counts(kCar)}, cfg).value();
+  EXPECT_EQ(WeightsCacheHits(), hits_before);
+  ASSERT_EQ(nn.trained_frames(), 1500);
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over the float bits
+  for (float w : cache.weights) {
+    const uint32_t bits = std::bit_cast<uint32_t>(w);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(cache.weights.size(), 32965u);
+  EXPECT_EQ(hash, 0xac47c7f00c01aefULL);
+}
+
+// A weights hit builds the layers without initializing them and copies the
+// blob in, in parameter order: its outputs equal the trained model's bit
+// for bit, and it trains and writes back nothing.
+TEST(SpecializedNNReferenceTest, WeightsHitReproducesTrainedModel) {
+  auto day = SyntheticVideo::Create(ArchieConfig(), kTrainDaySeed, 600).value();
+  SimulatedDetector detector;
+  LabeledSet labels(day.get(), &detector, 0.5);
+  WeightRecordingCache cache;
+  SpecializedNNConfig cfg;
+  cfg.raster_width = 16;
+  cfg.raster_height = 16;
+  cfg.hidden_dims = {32, 16};
+  cfg.cache = &cache;
+  const std::vector<std::vector<int>> heads = {labels.Counts(kCar),
+                                               labels.Counts(kPerson)};
+  auto cold = SpecializedNN::Train(*day, heads, cfg).value();
+  ASSERT_FALSE(cache.weights.empty());
+  cache.served = cache.weights;
+  cache.weights.clear();
+  const int64_t hits_before = WeightsCacheHits();
+  auto warm = SpecializedNN::Train(*day, heads, cfg).value();
+  EXPECT_EQ(WeightsCacheHits(), hits_before + 1);
+  EXPECT_TRUE(cache.weights.empty());
+  EXPECT_EQ(warm.trained_frames(), cold.trained_frames());
+  ASSERT_EQ(warm.num_heads(), 2);
+  std::vector<int64_t> frames(50);
+  std::iota(frames.begin(), frames.end(), 0);
+  for (int head = 0; head < 2; ++head) {
+    ASSERT_EQ(warm.head_classes(head), cold.head_classes(head));
+    const std::vector<float> want =
+        cold.ExpectedCountsForFrames(*day, frames, head);
+    const std::vector<float> got =
+        warm.ExpectedCountsForFrames(*day, frames, head);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                std::bit_cast<uint32_t>(want[i]))
+          << "head " << head << " frame " << i;
+    }
+  }
 }
 
 class SpecializedNNTest : public ::testing::Test {

@@ -2,7 +2,10 @@
 
 #include "testing/test_util.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "stats/bootstrap.h"
 #include "stats/normal.h"
@@ -123,6 +126,73 @@ TEST(BootstrapTest, BiasedPredictorDetected) {
   BLAZEIT_ASSERT_OK(r);
   EXPECT_GT(r.value().error_quantile, 0.25);
   EXPECT_NEAR(r.value().mean_abs_error, 0.3, 0.02);
+}
+
+/// The bootstrap as it was written before it drew eight resamples at a
+/// time: one UniformInt per index, one serial sum per resample.
+BootstrapResult HistoricalBootstrap(const std::vector<double>& predicted,
+                                    const std::vector<double>& truth,
+                                    double confidence, int num_resamples,
+                                    uint64_t seed) {
+  const int64_t n = static_cast<int64_t>(predicted.size());
+  std::vector<double> diff(predicted.size());
+  double mean_diff = 0.0;
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    diff[i] = predicted[i] - truth[i];
+    mean_diff += diff[i];
+  }
+  mean_diff /= static_cast<double>(n);
+
+  Rng rng(seed);
+  std::vector<double> abs_errors;
+  abs_errors.reserve(static_cast<size_t>(num_resamples));
+  for (int b = 0; b < num_resamples; ++b) {
+    double sum = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      sum += diff[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    }
+    abs_errors.push_back(std::abs(sum / static_cast<double>(n)));
+  }
+  std::sort(abs_errors.begin(), abs_errors.end());
+  size_t idx = static_cast<size_t>(
+      std::min<double>(static_cast<double>(abs_errors.size()) - 1,
+                       std::ceil(confidence * abs_errors.size())));
+
+  BootstrapResult out;
+  out.mean_abs_error = std::abs(mean_diff);
+  out.error_quantile = abs_errors[idx];
+  return out;
+}
+
+// Grouping resamples eight at a time must keep every bit: held-out sizes
+// around the group width, resample counts that leave partial groups, and
+// quantiles that pick different order statistics.
+TEST(BootstrapTest, MatchesHistoricalLoopBitForBit) {
+  for (int n : {1, 7, 8, 9, 1500}) {
+    for (int resamples : {1, 7, 8, 9, 200}) {
+      for (double confidence : {0.5, 0.95, 0.99}) {
+        for (uint64_t seed : {1ULL, 2ULL, 0xabcdefULL}) {
+          Rng data(seed * 131 + static_cast<uint64_t>(n));
+          std::vector<double> pred, truth;
+          for (int i = 0; i < n; ++i) {
+            truth.push_back(data.Poisson(1.0));
+            pred.push_back(truth.back() + data.Normal(0.1, 0.4));
+          }
+          auto got = BootstrapAbsError(pred, truth, confidence, resamples,
+                                       seed);
+          BLAZEIT_ASSERT_OK(got);
+          const BootstrapResult want =
+              HistoricalBootstrap(pred, truth, confidence, resamples, seed);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.value().error_quantile),
+                    std::bit_cast<uint64_t>(want.error_quantile))
+              << "n " << n << " B " << resamples << " conf " << confidence
+              << " seed " << seed;
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.value().mean_abs_error),
+                    std::bit_cast<uint64_t>(want.mean_abs_error));
+        }
+      }
+    }
+  }
 }
 
 TEST(BootstrapTest, RejectsBadArgs) {

@@ -4,6 +4,8 @@
 // and read/write-through behaviour of the store-backed CachedDetector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -203,6 +205,61 @@ TEST_F(StorageTest, MultipleFlushesMergeAcrossSegments) {
   EXPECT_EQ(reopened.value()->TotalRecords(), 2);
   EXPECT_TRUE(reopened.value()->Contains(ns, 1));
   EXPECT_TRUE(reopened.value()->Contains(ns, 2));
+}
+
+// The index keeps a day's frames in dense slots and the rest (negative
+// sentinels, outlying ids) in a side map. Here the first segment's frame
+// 5000 lies past the dense slots and goes to the side map; the second
+// segment's run of frames grows the slots over it. Every frame must still
+// resolve, first-write-wins must hold on both sides, and a reopen must
+// rebuild the same view.
+TEST_F(StorageTest, DenseAndOutlyingFramesResolveAcrossSegments) {
+  const uint64_t ns = 0xF2A3E5;
+  const std::vector<int64_t> first = {-1, 0, 1, 5000, 1LL << 40};
+  std::vector<int64_t> second = {-1, 9000};
+  for (int64_t f = 1; f <= 5001; ++f) second.push_back(f);
+  auto put_all = [ns](DetectionStore* store, const std::vector<int64_t>& frames,
+                      float tag) {
+    for (int64_t f : frames) {
+      BLAZEIT_ASSERT_OK(
+          store->PutFloats(ns, f, {static_cast<float>(f), tag}));
+    }
+    BLAZEIT_ASSERT_OK(store->Flush());
+  };
+  auto check = [&](DetectionStore* store) {
+    EXPECT_EQ(store->RecordCount(ns), 5005);  // -1, 0..5001, 9000, 2^40
+    std::vector<int64_t> order;
+    BLAZEIT_ASSERT_OK(
+        store->Scan(ns, [&order](int64_t frame, const std::string&) {
+          order.push_back(frame);
+          return Status::OK();
+        }));
+    ASSERT_EQ(order.size(), 5005u);
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    for (int64_t f : order) {
+      auto got = store->GetFloats(ns, f);
+      BLAZEIT_ASSERT_OK(got);
+      // Frames in both segments keep the first segment's record.
+      const bool in_first =
+          std::find(first.begin(), first.end(), f) != first.end();
+      ASSERT_EQ(got.value(), (std::vector<float>{static_cast<float>(f),
+                                                 in_first ? 1.0f : 2.0f}))
+          << "frame " << f;
+    }
+    EXPECT_FALSE(store->Contains(ns, 5002));
+    EXPECT_FALSE(store->Contains(ns, -2));
+    EXPECT_FALSE(store->Contains(ns, 1LL << 41));
+  };
+  {
+    auto store = DetectionStore::Open(dir_);
+    BLAZEIT_ASSERT_OK(store);
+    put_all(store.value().get(), first, 1.0f);
+    put_all(store.value().get(), second, 2.0f);
+    check(store.value().get());
+  }
+  auto reopened = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(reopened);
+  check(reopened.value().get());
 }
 
 // --- corruption rejection: each failure mode has its own StatusCode ---

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <mutex>
+#include <numeric>
 #include <random>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "util/logging.h"
@@ -29,6 +34,145 @@ TEST(RngTest, Mt19937FirstDrawMatchesStdEngine) {
     std::mt19937_64 engine(seed);
     ASSERT_EQ(Mt19937_64FirstDraw(seed), engine()) << "seed " << seed;
   }
+}
+
+// The block-refilled engine must reproduce std::mt19937_64 word for
+// word. 5,000 outputs cross 16 refills of the 312-word block. util_test
+// runs in the native, _avx2 and _scalar lanes, so the AVX-512 refill (on
+// hosts that have it) and the scalar one are both pinned.
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  static_assert(std::is_same_v<Mt19937_64::result_type,
+                               std::mt19937_64::result_type>);
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  std::mt19937_64 seeds(11);
+  for (int s = 0; s < 120; ++s) {
+    // A few fixed edge seeds, then arbitrary 64-bit ones.
+    const uint64_t seed = s == 0   ? 0
+                          : s == 1 ? ~uint64_t{0}
+                          : s == 2 ? 5489  // the standard's default seed
+                                   : seeds();
+    Mt19937_64 engine(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(engine(), want()) << "seed " << seed << " output " << i;
+    }
+  }
+}
+
+TEST(RngTest, EnginePeekAndSkipFollowTheStream) {
+  Mt19937_64 engine(3);
+  std::mt19937_64 want(3);
+  for (size_t take : {1u, 100u, 311u, 312u, 5u}) {
+    size_t avail = 0;
+    const uint64_t* words = engine.Peek(&avail);
+    ASSERT_GE(avail, 1u);
+    const size_t n = std::min(take, avail);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(words[i], want());
+    engine.Skip(n);
+    ASSERT_EQ(engine(), want());
+  }
+}
+
+/// Bits of a double, so equality means the same value bit for bit.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every distribution Rng draws through must return the same values over
+// Mt19937_64 as libstdc++'s over std::mt19937_64: the engine's interface
+// types select the same code paths, and its stream is the same.
+TEST(RngTest, DistributionsMatchStdEngine) {
+  for (uint64_t seed : {1ULL, 42ULL, 0x9e3779b97f4a7c15ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.UniformInt(-3, 1499),
+                std::uniform_int_distribution<int64_t>(-3, 1499)(want));
+      ASSERT_EQ(Bits(rng.Uniform()),
+                Bits(std::uniform_real_distribution<double>(0.0, 1.0)(want)));
+      ASSERT_EQ(Bits(rng.Uniform(0.05, 0.95)),
+                Bits(std::uniform_real_distribution<double>(0.05, 0.95)(
+                    want)));
+      ASSERT_EQ(Bits(rng.Normal(1.0, 2.0)),
+                Bits(std::normal_distribution<double>(1.0, 2.0)(want)));
+      // Both of libstdc++'s Poisson algorithms: the small-mean product
+      // loop and the large-mean rejection sampler.
+      ASSERT_EQ(rng.Poisson(2.5), std::poisson_distribution<int>(2.5)(want));
+      ASSERT_EQ(rng.Poisson(40.0),
+                std::poisson_distribution<int>(40.0)(want));
+      ASSERT_EQ(rng.Bernoulli(0.3), std::bernoulli_distribution(0.3)(want));
+      ASSERT_EQ(Bits(rng.LogNormal(0.5, 0.25)),
+                Bits(std::lognormal_distribution<double>(0.5, 0.25)(want)));
+    }
+    std::vector<int64_t> a(1000), b(1000);
+    std::iota(a.begin(), a.end(), 0);
+    std::iota(b.begin(), b.end(), 0);
+    std::shuffle(a.begin(), a.end(), rng.engine());
+    std::shuffle(b.begin(), b.end(), want);
+    ASSERT_EQ(a, b);
+    // SampleWithoutReplacement against Floyd's algorithm written over the
+    // standard engine.
+    for (auto [n, k] : {std::pair<int64_t, int64_t>{100, 30}, {4500, 60}}) {
+      std::vector<int64_t> expected;
+      std::unordered_set<int64_t> seen;
+      for (int64_t j = n - k; j < n; ++j) {
+        int64_t t = std::uniform_int_distribution<int64_t>(0, j)(want);
+        if (seen.count(t)) t = j;
+        seen.insert(t);
+        expected.push_back(t);
+      }
+      ASSERT_EQ(rng.SampleWithoutReplacement(n, k), expected);
+    }
+    ASSERT_EQ(rng.engine()(), want());  // the streams are still in step
+  }
+}
+
+// UniformIndices is a run of uniform_int_distribution draws. The large
+// ranges make libstdc++'s rejection step frequent (2^64 mod (2^62 + 1)
+// rejects about a quarter of all outputs), so the redraw path and the
+// stream position after it are pinned too; 2^32 - 1 is the widest range
+// the vector mapping takes, 2^32 + 1 the narrowest it leaves to the
+// scalar loop.
+TEST(RngTest, UniformIndicesMatchStdUniformInt) {
+  for (uint64_t range : {1ULL, 7ULL, 1500ULL, 0xFFFFFFFFULL, 0x100000001ULL,
+                         (1ULL << 62) + 1, (1ULL << 63) + 12345}) {
+    for (size_t count : {1u, 9u, 1000u, 5000u}) {
+      Rng rng(range ^ count);
+      std::mt19937_64 want(range ^ count);
+      std::vector<uint64_t> got(count);
+      rng.UniformIndices(range, count, got.data());
+      std::uniform_int_distribution<uint64_t> dist(0, range - 1);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(got[i], dist(want))
+            << "range " << range << " count " << count << " index " << i;
+      }
+      ASSERT_EQ(rng.engine()(), want()) << "range " << range;
+    }
+  }
+  // Inside the vector-mapped ranges (up to 2^32 - 1) a rejection is rare,
+  // below 2^-32 per output. This seed, found by search, draws one at output
+  // 963 for range 2^32 - 2^16 + 1, which pins the vector loop's hand-off to
+  // the scalar one.
+  {
+    const uint64_t range = (1ULL << 32) - (1ULL << 16) + 1;
+    const uint64_t seed = 2403239;
+    std::mt19937_64 probe(seed);
+    probe.discard(963);
+    __extension__ using U128 = unsigned __int128;
+    ASSERT_LT(static_cast<uint64_t>(static_cast<U128>(probe()) * range),
+              (0 - range) % range);  // output 963 is rejected
+    Rng rng(seed);
+    std::mt19937_64 want(seed);
+    std::vector<uint64_t> got(2000);
+    rng.UniformIndices(range, got.size(), got.data());
+    std::uniform_int_distribution<uint64_t> dist(0, range - 1);
+    for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], dist(want)) << i;
+    ASSERT_EQ(rng.engine()(), want());
+  }
+  // For ranges up to 2^63 it equals UniformInt(0, range - 1) itself.
+  Rng a(9), b(9);
+  std::vector<uint64_t> got(3000);
+  a.UniformIndices(1500, got.size(), got.data());
+  for (uint64_t v : got) ASSERT_EQ(static_cast<int64_t>(v), b.UniformInt(0, 1499));
 }
 
 TEST(RngTest, UniformInRange) {
