@@ -14,9 +14,10 @@
 namespace blazeit {
 namespace bench {
 
-/// Paper-scale day lengths, scaled down per DESIGN.md: one hour of 30 fps
-/// test video (the paper uses 24-33h); training and threshold days of 20
-/// minutes each. All speedup factors are length-invariant.
+/// Paper-scale day lengths, scaled down because every frame is rendered
+/// and scored on the CPU: one hour of 30 fps test video (the paper uses
+/// 24-33h); training and threshold days of 20 minutes each. All speedup
+/// factors are length-invariant.
 inline DayLengths PaperDays() {
   DayLengths lengths;
   lengths.train = 36000;

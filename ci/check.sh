@@ -168,6 +168,16 @@ EOF
   mkdir -p "${ARTIFACT_DIR}"
   "${STORECLI}" stats "${STORE_DIR}" --json \
     > "${ARTIFACT_DIR}/store_stats.json"
+  # The store dir is a string in that JSON: a dir whose name holds a quote
+  # and a backslash must still come out as valid JSON naming it. Gating.
+  ODD_DIR="${SMOKE_DIR}/st\"ore\\x"
+  "${STORECLI}" build "${ODD_DIR}" taipei test 10 > /dev/null
+  "${STORECLI}" stats "${ODD_DIR}" --json > "${ARTIFACT_DIR}/odd_stats.json"
+  python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["dir"] == sys.argv[2], (d["dir"], sys.argv[2])
+print("stats --json escapes the store dir:", d["dir"])' \
+    "${ARTIFACT_DIR}/odd_stats.json" "${ODD_DIR}"
 
   # Observability artifacts: run one aggregate against the store the slow
   # lane just warmed (same stream/day-lengths/NN config as the test
@@ -186,6 +196,7 @@ EOF
 for p in sys.argv[1:]:
     json.load(open(p))
 print("artifacts valid:", ", ".join(sys.argv[1:]))' \
+    "${ARTIFACT_DIR}/store_stats.json" \
     "${ARTIFACT_DIR}/query_report.json" \
     "${ARTIFACT_DIR}/query_trace.json" \
     "${ARTIFACT_DIR}/metrics_snapshot.json"
@@ -362,5 +373,10 @@ if [[ -x "${BUILD_DIR}/bench/bench_micro_components" ]]; then
 else
   echo "==> bench: bench_micro_components not built; skipping perf report"
 fi
+
+# Non-gating coverage report, last: a --coverage build of its own runs
+# every suite and lists the library functions that never executed.
+ci/coverage.sh "${BUILD_DIR}-coverage" \
+  || echo "==> coverage report failed (non-gating)"
 
 echo "==> OK"

@@ -6,9 +6,7 @@
 
 #include "core/shared_sweep.h"
 #include "filters/calibration.h"
-#include "filters/label_filter.h"
 #include "frameql/parser.h"
-#include "net/http.h"
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
 #include "storage/segment_sketch.h"
@@ -52,7 +50,7 @@ BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
       if (!first) streams += ",";
       first = false;
       streams += '"';
-      streams += net::JsonEscape(name);
+      streams += JsonEscape(name);
       streams += '"';
     }
     streams += "]";
@@ -67,7 +65,7 @@ BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
     std::string out = StrFormat(
         "{\"enabled\":true,\"dir\":\"%s\",\"total_records\":%lld,"
         "\"pending_records\":%lld,\"namespaces\":[",
-        net::JsonEscape(store->dir()).c_str(),
+        JsonEscape(store->dir()).c_str(),
         static_cast<long long>(store->TotalRecords()),
         static_cast<long long>(store->pending_records()));
     bool first = true;
@@ -356,20 +354,24 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
   }();
   BLAZEIT_RETURN_NOT_OK(trained.status());
   out.cost.ChargeTraining(trained.value().trained_frames());
-  LabelFilter filter(std::move(trained).value(), {1});
+  const SpecializedNN& nn = trained.value();
 
+  double threshold = 0.0;
   {
     obs::TraceSpan span(trace, "calibrate", &out.cost);
+    const SyntheticVideo& held = *stream->held_out_day;
     std::vector<char> positive_mask;
-    positive_mask.reserve(
-        static_cast<size_t>(stream->held_out_day->num_frames()));
+    positive_mask.reserve(static_cast<size_t>(held.num_frames()));
     const std::vector<int>& held_counts =
         stream->held_out_labels->Counts(query.sel_class);
     for (int c : held_counts) positive_mask.push_back(c > 0 ? 1 : 0);
-    auto calib = CalibrateNoFalseNegatives(&filter, *stream->held_out_day,
-                                           positive_mask);
+    std::vector<int64_t> held_frames(static_cast<size_t>(held.num_frames()));
+    std::iota(held_frames.begin(), held_frames.end(), int64_t{0});
+    auto calib = CalibrateNoFalseNegatives(
+        PresenceScores(nn, held, held_frames), positive_mask);
     BLAZEIT_RETURN_NOT_OK(calib.status());
-    out.cost.ChargeSpecializedNN(stream->held_out_day->num_frames());
+    threshold = calib.value().threshold;
+    out.cost.ChargeSpecializedNN(held.num_frames());
   }
 
   const int64_t n_window = window.end - window.begin;
@@ -378,13 +380,13 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
   std::vector<double> scores;
   {
     obs::TraceSpan span(trace, "sweep", &out.cost);
-    scores = filter.ScoreBatch(test, test_frames);
+    scores = PresenceScores(nn, test, test_frames);
     out.cost.ChargeSpecializedNN(n_window);
   }
   obs::TraceSpan span(trace, "verify", &out.cost);
   for (int64_t i = 0; i < n_window; ++i) {
     const int64_t t = window.begin + i;
-    if (scores[static_cast<size_t>(i)] < filter.threshold()) continue;
+    if (scores[static_cast<size_t>(i)] < threshold) continue;
     out.cost.ChargeDetection();
     if (test_counts[static_cast<size_t>(t)] > 0) out.frames.push_back(t);
   }

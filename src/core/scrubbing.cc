@@ -127,19 +127,6 @@ void InsertSorted(std::vector<int64_t>* accepted, int64_t frame) {
       std::upper_bound(accepted->begin(), accepted->end(), frame), frame);
 }
 
-/// Membership test over ascending, disjoint ranges (the CandidateRanges
-/// contract).
-bool RangesContain(const std::vector<SketchIndex::FrameRange>& ranges,
-                   int64_t frame) {
-  auto it = std::upper_bound(ranges.begin(), ranges.end(), frame,
-                             [](int64_t f, const SketchIndex::FrameRange& r) {
-                               return f < r.begin;
-                             });
-  if (it == ranges.begin()) return false;
-  --it;
-  return frame >= it->begin && frame < it->end;
-}
-
 SketchProbe RequirementsProbe(
     const std::vector<ClassCountRequirement>& reqs) {
   SketchProbe probe;
@@ -180,7 +167,6 @@ Result<ScrubResult> ScrubbingExecutor::Run(
       SketchCandidates(*stream_, options_.use_store_index, window,
                        RequirementsProbe(reqs), &result.sketch);
   const bool pruned = result.sketch.pruned;
-  const int64_t n_window = window.end - window.begin;
   if (candidates.empty()) {
     // Every segment of the window is provably free of matches.
     result.scan_exhausted = true;
@@ -243,16 +229,13 @@ Result<ScrubResult> ScrubbingExecutor::Run(
 
   // --- score the unseen frames and rank by confidence ---
   // Indices below are positions in test_frames, so confidences_ lines up
-  // with test_frames. The sweep covers only the sketch candidates when
-  // pruning applies and smoothing is off; smoothing mixes neighbor
-  // scores, so restricting its sweep would change the ranking signal and
-  // break bit-identity — with smoothing on, everything is scored and the
-  // refuted segments are skipped in the verification walk instead.
+  // with test_frames. When pruning applies, the sweep covers only the
+  // sketch candidates: a refuted frame provably fails the requirements,
+  // so in the unindexed walk it would charge a detector call and change
+  // no state, and dropping it leaves the returned frames bit-identical.
   const SyntheticVideo& test = *stream_->test_day;
-  const bool restricted_sweep =
-      pruned && options_.confidence_smoothing <= 0;
   std::vector<int64_t> test_frames;
-  if (restricted_sweep) {
+  if (pruned) {
     test_frames.reserve(static_cast<size_t>(result.sketch.candidate_frames));
     for (const auto& range : candidates) {
       for (int64_t t = range.begin; t < range.end; ++t) {
@@ -260,46 +243,20 @@ Result<ScrubResult> ScrubbingExecutor::Run(
       }
     }
   } else {
-    test_frames.resize(static_cast<size_t>(n_window));
+    test_frames.resize(static_cast<size_t>(window.end - window.begin));
     std::iota(test_frames.begin(), test_frames.end(), window.begin);
   }
-  auto mode = options_.conjunctive_product && reqs.size() > 1
-                  ? SpecializedNN::ConjunctionMode::kProduct
-                  : SpecializedNN::ConjunctionMode::kSum;
   {
     obs::TraceSpan span(trace_, "sweep", &meter);
-    confidences_ =
-        nn.QueryConfidencesForFrames(test, test_frames, min_counts, mode);
+    confidences_ = nn.QueryConfidencesForFrames(test, test_frames, min_counts);
     meter.ChargeSpecializedNN(static_cast<int64_t>(test_frames.size()));
-  }
-
-  // Rank by the (optionally smoothed) confidence signal.
-  std::vector<float> ranking_signal = confidences_;
-  if (options_.confidence_smoothing > 0) {
-    const int64_t w = options_.confidence_smoothing;
-    const int64_t n = n_window;
-    std::vector<double> prefix(static_cast<size_t>(n) + 1, 0.0);
-    for (int64_t t = 0; t < n; ++t) {
-      prefix[static_cast<size_t>(t) + 1] =
-          prefix[static_cast<size_t>(t)] +
-          static_cast<double>(confidences_[static_cast<size_t>(t)]);
-    }
-    for (int64_t t = 0; t < n; ++t) {
-      int64_t lo = std::max<int64_t>(0, t - w);
-      int64_t hi = std::min<int64_t>(n - 1, t + w);
-      ranking_signal[static_cast<size_t>(t)] = static_cast<float>(
-          (prefix[static_cast<size_t>(hi) + 1] -
-           prefix[static_cast<size_t>(lo)]) /
-          static_cast<double>(hi - lo + 1));
-    }
   }
   std::vector<int64_t> order(test_frames.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&ranking_signal](int64_t a, int64_t b) {
-                     return ranking_signal[static_cast<size_t>(a)] >
-                            ranking_signal[static_cast<size_t>(b)];
-                   });
+  std::stable_sort(order.begin(), order.end(), [this](int64_t a, int64_t b) {
+    return confidences_[static_cast<size_t>(a)] >
+           confidences_[static_cast<size_t>(b)];
+  });
 
   // --- verify candidates with the full detector, best-first ---
   obs::TraceSpan verify_span(trace_, "verify", &meter);
@@ -310,13 +267,6 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     if (static_cast<int64_t>(result.frames.size()) >= limit) {
       limit_reached = true;
       break;
-    }
-    // With smoothing on, everything was scored but refuted segments still
-    // need no verification: a sketch-refuted frame provably fails the
-    // requirements, so in the unindexed walk it would charge a detector
-    // call and change no state — skipping it is free and bit-identical.
-    if (pruned && !restricted_sweep && !RangesContain(candidates, frame)) {
-      continue;
     }
     if (!GapAdmissible(accepted_sorted, frame, gap)) continue;
     meter.ChargeDetection();

@@ -15,23 +15,14 @@ namespace blazeit {
 
 struct ScrubOptions {
   SpecializedNNConfig nn;
-  /// Half-width (frames) of the moving average applied to the per-frame
-  /// confidences before ranking. Useful when the NN's per-frame error is
-  /// noise-dominated; with the pooled-feature NNs the ablation bench shows
-  /// raw confidences rank better, so smoothing is off by default.
-  int64_t confidence_smoothing = 0;
-  /// Combine multi-class tail probabilities as a product (joint event)
-  /// instead of the paper's sum. Off by default: the sum matches the paper
-  /// and measures better in bench_ablation_scrubbing.
-  bool conjunctive_product = false;
   uint64_t seed = 1;
   /// Consult the detection store's per-segment sketches (see
   /// storage/segment_sketch.h) to skip provably non-matching segments:
-  /// the NN scores only sketch-candidate frames (with smoothing off) and
-  /// both the verification walk and the scan fallback skip refuted
-  /// segments. Returned frames are bit-identical to the unindexed run —
-  /// only the charged NN/detector calls drop. A no-op unless the stream
-  /// is store-backed and sketches are built and current.
+  /// the NN scores, and the detector verifies, only sketch-candidate
+  /// frames, and the scan fallback skips refuted segments too. Returned
+  /// frames are bit-identical to the unindexed run — only the charged
+  /// NN/detector calls drop. A no-op unless the stream is store-backed
+  /// and sketches are built and current.
   bool use_store_index = false;
 };
 

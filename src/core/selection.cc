@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <optional>
 
 #include "exec/frame_pipeline.h"
 #include "filters/calibration.h"
 #include "filters/content_filter.h"
-#include "filters/label_filter.h"
 #include "filters/spatial_filter.h"
 #include "filters/temporal_filter.h"
 #include "obs/trace.h"
@@ -162,7 +163,10 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   holdout_span.Close();
 
   // ---- content filter (statistical; calibrated for no false negatives) --
-  std::unique_ptr<ContentFilter> content;
+  std::vector<int64_t> held_frames(static_cast<size_t>(held.num_frames()));
+  std::iota(held_frames.begin(), held_frames.end(), int64_t{0});
+  std::optional<ContentFilter> content;
+  double content_threshold = 0.0;
   if (options_.use_content_filter) {
     obs::TraceSpan span(trace_, "calibrate:content", &meter);
     for (const Predicate& pred : query.udf_predicates) {
@@ -170,24 +174,13 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
       if (pred.op != CmpOp::kGe && pred.op != CmpOp::kGt) continue;
       auto udf = udfs_->Get(pred.name);
       if (!udf.ok()) continue;
-      auto candidate = std::make_unique<ContentFilter>(pred.name,
-                                                       udf.value());
       // Content scores render frames; persist them when the UDF has a
       // stable content fingerprint (built-ins do, ad-hoc closures do not).
-      const uint64_t udf_fp = udfs_->FingerprintFor(pred.name);
-      if (cache_ != nullptr && udf_fp != 0) {
-        candidate->set_score_cache(
-            cache_,
-            Fingerprint()
-                .Mix("content-filter")
-                .Mix(udf_fp)
-                .Mix(candidate->raster_width())
-                .Mix(candidate->raster_height())
-                .value());
-      }
-      auto calib = CalibrateNoFalseNegatives(candidate.get(), held,
-                                             predicate_positive,
-                                             options_.calibration_margin);
+      ContentFilter candidate(udf.value(), cache_,
+                              udfs_->FingerprintFor(pred.name));
+      auto calib = CalibrateNoFalseNegatives(
+          candidate.ScoreBatch(held, held_frames), predicate_positive,
+          options_.calibration_margin);
       if (!calib.ok()) {
         BLAZEIT_LOG(kDebug) << "content filter '" << pred.name
                             << "' skipped: " << calib.status().ToString();
@@ -198,6 +191,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
       // learns which UDFs are effective as frame-level filters).
       if (calib.value().selectivity < 0.95) {
         content = std::move(candidate);
+        content_threshold = calib.value().threshold;
         plan_parts.push_back(StrFormat(
             "content(%s>=%.4f, sel=%.2f)", pred.name.c_str(),
             calib.value().threshold, calib.value().selectivity));
@@ -207,7 +201,8 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   }
 
   // ---- label filter (specialized NN; calibrated on class presence) ----
-  std::unique_ptr<LabelFilter> label;
+  std::optional<SpecializedNN> label;
+  double label_threshold = 0.0;
   if (options_.use_label_filter) {
     obs::TraceSpan span(trace_, "train:label-filter", &meter);
     const std::vector<int>& train_counts =
@@ -224,8 +219,6 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
                                           nn_config);
       BLAZEIT_RETURN_NOT_OK(trained.status());
       meter.ChargeTraining(trained.value().trained_frames());
-      auto candidate = std::make_unique<LabelFilter>(
-          std::move(trained).value(), std::vector<int>{1});
       // Calibrate against the frames satisfying the *full* predicate when
       // any exist: the filter only needs to keep frames this query cares
       // about, which gives a much tighter threshold than class presence.
@@ -237,7 +230,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
         }
       }
       auto calib = CalibrateNoFalseNegatives(
-          candidate.get(), held,
+          PresenceScores(trained.value(), held, held_frames),
           any_predicate_positive ? predicate_positive : class_positive,
           options_.calibration_margin);
       if (calib.ok()) {
@@ -247,7 +240,8 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
         // the optimizer selects between filters by estimated selectivity;
         // a filter that keeps everything just adds NN cost).
         if (calib.value().selectivity < 0.9) {
-          label = std::move(candidate);
+          label = std::move(trained).value();
+          label_threshold = calib.value().threshold;
           plan_parts.push_back(StrFormat("label(th=%.3f, sel=%.2f)",
                                          calib.value().threshold,
                                          calib.value().selectivity));
@@ -271,11 +265,11 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   // persistent score cache applies; one ChargeFilter per candidate either
   // way.
   std::vector<int64_t> after_content;
-  if (content != nullptr) {
+  if (content) {
     std::vector<double> scores = content->ScoreBatch(test, candidates);
     for (size_t i = 0; i < candidates.size(); ++i) {
       meter.ChargeFilter();
-      if (scores[i] >= content->threshold()) {
+      if (scores[i] >= content_threshold) {
         after_content.push_back(candidates[i]);
       }
     }
@@ -284,11 +278,11 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   }
   // Stage 2: label filter (specialized NN, batched).
   std::vector<int64_t> after_label;
-  if (label != nullptr) {
-    std::vector<double> scores = label->ScoreBatch(test, after_content);
+  if (label) {
+    std::vector<double> scores = PresenceScores(*label, test, after_content);
     meter.ChargeSpecializedNN(static_cast<int64_t>(after_content.size()));
     for (size_t i = 0; i < after_content.size(); ++i) {
-      if (scores[i] >= label->threshold()) {
+      if (scores[i] >= label_threshold) {
         after_label.push_back(after_content[i]);
       }
     }
@@ -323,6 +317,13 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   result.plan = plan_parts.empty() ? "naive (no applicable filters)"
                                    : Join(plan_parts, " ");
   return result;
+}
+
+std::vector<double> PresenceScores(const SpecializedNN& nn,
+                                   const SyntheticVideo& video,
+                                   const std::vector<int64_t>& frames) {
+  std::vector<float> scores = nn.QueryConfidencesForFrames(video, frames, {1});
+  return std::vector<double>(scores.begin(), scores.end());
 }
 
 std::vector<SelectionEvent> GroundTruthSelectionEvents(

@@ -97,6 +97,15 @@ class SelectionExecutor {
   obs::QueryTrace* trace_;
 };
 
+/// The label filter's score (Section 8, the NoScope-style filter class):
+/// the NN's batched confidence that its first head's class is present,
+/// P(count >= 1), widened to double for calibration and thresholding.
+/// Frames the NN is confident are irrelevant score low and are discarded
+/// before detection.
+std::vector<double> PresenceScores(const SpecializedNN& nn,
+                                   const SyntheticVideo& video,
+                                   const std::vector<int64_t>& frames);
+
 /// Test-day frames whose *scene ground truth* satisfies the query
 /// predicate, merged into events and filtered by the query's persistence
 /// requirement. This is the reference for false-negative-rate accounting

@@ -35,7 +35,10 @@ struct DetectorNoiseConfig {
 
 /// Simulated full object detector: reads the scene ground truth and
 /// perturbs it per DetectorNoiseConfig. Deterministic per (video seed,
-/// frame). Stands in for Mask R-CNN / FGFA; see DESIGN.md substitutions.
+/// frame). Stands in for Mask R-CNN / FGFA: query processing only reads
+/// the boxes, classes and scores a detector returns, and the cost model
+/// charges each call at the paper's detector rate, so a seeded noisy
+/// detector exercises the same plans and costs without a GPU.
 class SimulatedDetector : public ObjectDetector {
  public:
   explicit SimulatedDetector(DetectorNoiseConfig config = {},

@@ -6,28 +6,20 @@
 namespace blazeit {
 
 Result<CalibrationResult> CalibrateNoFalseNegatives(
-    FrameFilter* filter, const SyntheticVideo& held_out,
-    const std::vector<char>& positive_mask, double safety_margin) {
-  if (filter == nullptr)
-    return Status::InvalidArgument("filter must not be null");
-  if (static_cast<int64_t>(positive_mask.size()) != held_out.num_frames())
+    const std::vector<double>& scores, const std::vector<char>& positive_mask,
+    double safety_margin) {
+  if (positive_mask.size() != scores.size())
     return Status::InvalidArgument(
         "positive_mask must cover every held-out frame");
 
   double min_pos = std::numeric_limits<double>::infinity();
   double max_pos = -std::numeric_limits<double>::infinity();
   int64_t positives = 0;
-  std::vector<int64_t> all_frames(positive_mask.size());
-  for (size_t i = 0; i < all_frames.size(); ++i) {
-    all_frames[i] = static_cast<int64_t>(i);
-  }
-  std::vector<double> scores = filter->ScoreBatch(held_out, all_frames);
-  for (int64_t t = 0; t < held_out.num_frames(); ++t) {
-    double s = scores[static_cast<size_t>(t)];
-    if (positive_mask[static_cast<size_t>(t)]) {
+  for (size_t t = 0; t < scores.size(); ++t) {
+    if (positive_mask[t]) {
       ++positives;
-      min_pos = std::min(min_pos, s);
-      max_pos = std::max(max_pos, s);
+      min_pos = std::min(min_pos, scores[t]);
+      max_pos = std::max(max_pos, scores[t]);
     }
   }
   if (positives == 0)
@@ -42,7 +34,6 @@ Result<CalibrationResult> CalibrateNoFalseNegatives(
   // day (the paper assumes no model drift but still thresholds to err on
   // the side of false positives).
   out.threshold = min_pos - safety_margin * std::max(0.0, max_pos - min_pos);
-  filter->set_threshold(out.threshold);
 
   int64_t passing = 0;
   for (double s : scores) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "filters/filter.h"
 #include "util/status.h"
 
 namespace blazeit {
@@ -20,16 +19,18 @@ struct CalibrationResult {
   int64_t positives = 0;
 };
 
-/// Sets the filter threshold to the minimum score over positive held-out
-/// frames (optionally shifted down by `safety_margin` times the positive
-/// score range), so the filter has no false negatives on the held-out set
-/// — BlazeIt's operating point (Section 8). `positive_mask[i]` marks frame
-/// i of the held-out day as satisfying the query predicate (computed from
-/// the labeled set). Fails with NotFound if no positives exist, in which
-/// case the optimizer must skip the filter.
+/// Calibrates a filter on its held-out scores: the threshold is the
+/// minimum score over positive frames (shifted down by `safety_margin`
+/// times the positive score range), so no held-out positive scores below
+/// it — BlazeIt's no-false-negatives operating point (Section 8). A frame
+/// passes when its score is at or above the threshold. `scores[i]` and
+/// `positive_mask[i]` describe frame i of the held-out day (the mask comes
+/// from the labeled set). Fails with InvalidArgument if the two lengths
+/// differ, and with NotFound if no positives exist, in which case the
+/// optimizer must skip the filter.
 Result<CalibrationResult> CalibrateNoFalseNegatives(
-    FrameFilter* filter, const SyntheticVideo& held_out,
-    const std::vector<char>& positive_mask, double safety_margin = 0.05);
+    const std::vector<double>& scores, const std::vector<char>& positive_mask,
+    double safety_margin = 0.05);
 
 }  // namespace blazeit
 

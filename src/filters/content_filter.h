@@ -1,12 +1,13 @@
 #ifndef BLAZEIT_FILTERS_CONTENT_FILTER_H_
 #define BLAZEIT_FILTERS_CONTENT_FILTER_H_
 
+#include <cstdint>
 #include <functional>
-#include <string>
-#include <utility>
+#include <vector>
 
-#include "filters/filter.h"
+#include "util/artifact_cache.h"
 #include "video/image.h"
+#include "video/synthetic_video.h"
 
 namespace blazeit {
 
@@ -19,56 +20,40 @@ using ImageUdf = std::function<double(const Image&)>;
 /// inferred from the query's UDF predicate, e.g. the frame-level redness
 /// when searching for red buses. Only meaningful for UDFs returning
 /// continuous values (the paper's restriction); threshold calibration on
-/// the held-out set discovers whether the lifted UDF is actually selective.
+/// the held-out set (filters/calibration.h) discovers whether the lifted
+/// UDF is actually selective.
 ///
 /// ScoreBatch shards its sweep across the exec pool, so the UDF must be a
 /// pure function of the image (no shared mutable state). Every built-in
 /// is; a stateful ad-hoc closure would already be unfit for a filter,
 /// whose score must be a stable function of the frame.
-class ContentFilter : public FrameFilter {
+class ContentFilter {
  public:
-  /// `raster` is the render size used to evaluate the statistic.
-  ContentFilter(std::string udf_name, ImageUdf udf, int raster_width = 32,
-                int raster_height = 32)
-      : udf_name_(std::move(udf_name)),
-        udf_(std::move(udf)),
-        raster_width_(raster_width),
-        raster_height_(raster_height) {}
+  /// Side of the square raster the UDF is evaluated on.
+  static constexpr int kRaster = 32;
 
-  std::string name() const override { return "content(" + udf_name_ + ")"; }
+  /// `cache` (nullable, not owned) persists scores under a key derived
+  /// from `udf_fingerprint`, the UDF's content identity; 0 marks an ad-hoc
+  /// closure with none and disables persistence. Scores are doubles and
+  /// are cached bit-exactly, so calibrated thresholds behave identically
+  /// warm or cold.
+  explicit ContentFilter(ImageUdf udf, ArtifactCache* cache = nullptr,
+                         uint64_t udf_fingerprint = 0);
 
-  double Score(const SyntheticVideo& video, int64_t frame) const override {
-    // Single-frame path: render into a filter-lifetime scratch buffer
-    // (single-threaded use only; batch sweeps go through ScoreBatch).
-    return ScoreInto(video, frame, &render_scratch_);
-  }
-
-  /// Sharded parallel sweep with per-worker render scratch; scores are
-  /// bit-identical to the serial Score loop (disjoint output slots, same
-  /// per-frame math) and the persistent score cache is read before and
-  /// written after the parallel section, in frame order.
-  std::vector<double> ScoreBatch(
-      const SyntheticVideo& video,
-      const std::vector<int64_t>& frames) const override;
-
-  int raster_width() const { return raster_width_; }
-  int raster_height() const { return raster_height_; }
+  /// The UDF over each whole frame, rendered at kRaster x kRaster. Cache
+  /// hits are read first with one run read; the misses render and score
+  /// in a sharded parallel sweep with per-worker scratch (disjoint output
+  /// slots, same per-frame math, so bits do not depend on thread count)
+  /// and are written back afterwards, in frame order.
+  std::vector<double> ScoreBatch(const SyntheticVideo& video,
+                                 const std::vector<int64_t>& frames) const;
 
  private:
-  double ScoreInto(const SyntheticVideo& video, int64_t frame,
-                   Image* scratch) const {
-    video.RenderFrameRegionInto(frame, Rect{0, 0, 1, 1}, raster_width_,
-                                raster_height_, scratch);
-    return udf_(*scratch);
-  }
-
-  std::string udf_name_;
   ImageUdf udf_;
-  int raster_width_;
-  int raster_height_;
-  /// Reused render buffer of the single-frame Score path; always fully
-  /// overwritten before the UDF reads it.
-  mutable Image render_scratch_;
+  ArtifactCache* cache_;
+  /// Fingerprint of everything besides (video, frame) that determines a
+  /// score; mixed with the video fingerprint into the cache namespace.
+  uint64_t identity_ = 0;
 };
 
 }  // namespace blazeit

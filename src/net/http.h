@@ -73,10 +73,6 @@ std::string UrlDecode(const std::string& s);
 /// Minimal escaping for embedding text in the debug pages.
 std::string HtmlEscape(const std::string& s);
 
-/// Escapes a string for inclusion inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace net
 }  // namespace blazeit
 

@@ -108,18 +108,4 @@ std::vector<ParamRef> Sequential::Params() {
   return params;
 }
 
-std::unique_ptr<Sequential> BuildMlp(int input_dim,
-                                     const std::vector<int>& hidden_dims,
-                                     int num_classes, Rng* rng) {
-  auto model = std::make_unique<Sequential>();
-  int dim = input_dim;
-  for (int hidden : hidden_dims) {
-    model->Add(std::make_unique<Linear>(dim, hidden, rng));
-    model->Add(std::make_unique<ReLU>());
-    dim = hidden;
-  }
-  model->Add(std::make_unique<Linear>(dim, num_classes, rng));
-  return model;
-}
-
 }  // namespace blazeit

@@ -313,10 +313,6 @@ int64_t SpecializedNN::trained_frames() const {
   return impl_->trained_frames;
 }
 
-const SpecializedNNConfig& SpecializedNN::config() const {
-  return impl_->config;
-}
-
 namespace {
 constexpr int kEvalBatch = 256;
 }  // namespace
@@ -398,31 +394,6 @@ std::vector<float> SpecializedNN::ProbsForFrames(
   return out;
 }
 
-std::vector<std::vector<float>> SpecializedNN::PredictProbs(
-    const SyntheticVideo& video, int64_t frame) const {
-  std::vector<float> concat = ProbsForFrames(video, {frame});
-  std::vector<std::vector<float>> out;
-  out.reserve(impl_->heads.size());
-  size_t offset = 0;
-  for (int classes : impl_->head_classes) {
-    out.emplace_back(concat.begin() + static_cast<std::ptrdiff_t>(offset),
-                     concat.begin() +
-                         static_cast<std::ptrdiff_t>(offset) + classes);
-    offset += static_cast<size_t>(classes);
-  }
-  return out;
-}
-
-double SpecializedNN::ExpectedCount(const SyntheticVideo& video,
-                                    int64_t frame, int head) const {
-  std::vector<std::vector<float>> probs = PredictProbs(video, frame);
-  const std::vector<float>& p = probs[static_cast<size_t>(head)];
-  double expected = 0;
-  for (size_t k = 0; k < p.size(); ++k)
-    expected += static_cast<double>(k) * static_cast<double>(p[k]);
-  return expected;
-}
-
 std::vector<float> SpecializedNN::ExpectedCountsForFrames(
     const SyntheticVideo& video, const std::vector<int64_t>& frames,
     int head) const {
@@ -451,9 +422,8 @@ std::vector<float> SpecializedNN::ExpectedCountsForFrames(
 
 std::vector<float> SpecializedNN::QueryConfidencesForFrames(
     const SyntheticVideo& video, const std::vector<int64_t>& frames,
-    const std::vector<int>& min_counts, ConjunctionMode mode) const {
-  const bool product = mode == ConjunctionMode::kProduct;
-  std::vector<float> out(frames.size(), product ? 1.0f : 0.0f);
+    const std::vector<int>& min_counts) const {
+  std::vector<float> out(frames.size(), 0.0f);
   std::vector<float> probs = ProbsForFrames(video, frames);
   size_t concat_size = 0;
   for (int classes : impl_->head_classes) {
@@ -463,6 +433,9 @@ std::vector<float> SpecializedNN::QueryConfidencesForFrames(
   for (size_t head = 0;
        head < impl_->heads.size() && head < min_counts.size(); ++head) {
     const int classes = impl_->head_classes[head];
+    // Counts at or above the top class accumulate in the top bin, so
+    // clamping the minimum keeps the signal meaningful when the queried
+    // count exceeds the training-time class range.
     const int min_c = std::clamp(min_counts[head], 0, classes - 1);
     for (size_t i = 0; i < frames.size(); ++i) {
       const float* row = probs.data() + i * concat_size + head_offset;
@@ -470,37 +443,11 @@ std::vector<float> SpecializedNN::QueryConfidencesForFrames(
       for (int k = min_c; k < classes; ++k) {
         tail += static_cast<double>(row[k]);
       }
-      if (product) {
-        out[i] *= static_cast<float>(tail);
-      } else {
-        out[i] += static_cast<float>(tail);
-      }
+      out[i] += static_cast<float>(tail);
     }
     head_offset += static_cast<size_t>(classes);
   }
   return out;
-}
-
-double SpecializedNN::QueryConfidence(
-    const SyntheticVideo& video, int64_t frame,
-    const std::vector<int>& min_counts) const {
-  std::vector<std::vector<float>> probs = PredictProbs(video, frame);
-  double confidence = 0;
-  for (size_t h = 0; h < probs.size() && h < min_counts.size(); ++h) {
-    const std::vector<float>& p = probs[h];
-    // P(count >= min). Counts at or above the top class accumulate in the
-    // top bin, so a clamp on min keeps the signal meaningful even when the
-    // queried count exceeds the training-time class range.
-    int min_c = std::min<int>(min_counts[h],
-                              static_cast<int>(p.size()) - 1);
-    double tail = 0;
-    for (size_t k = static_cast<size_t>(std::max(0, min_c)); k < p.size();
-         ++k) {
-      tail += static_cast<double>(p[k]);
-    }
-    confidence += tail;
-  }
-  return confidence;
 }
 
 }  // namespace blazeit

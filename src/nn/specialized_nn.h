@@ -6,11 +6,23 @@
 
 #include "nn/layers.h"
 #include "util/artifact_cache.h"
-#include "nn/trainer.h"
 #include "util/status.h"
 #include "video/synthetic_video.h"
 
 namespace blazeit {
+
+/// Mini-batch training configuration of a specialized NN. Defaults follow
+/// the paper (Section 9: cross-entropy loss, batch size 16, SGD momentum
+/// 0.9, one epoch).
+struct TrainConfig {
+  int epochs = 1;
+  int batch_size = 16;
+  double lr = 0.02;
+  /// Multiplicative learning-rate decay applied after each epoch.
+  double lr_decay = 0.5;
+  double momentum = 0.9;
+  uint64_t seed = 42;
+};
 
 /// Configuration of a specialized NN (Sections 3, 9). The raster size and
 /// MLP shape stand in for the paper's 65x65-input tiny ResNet; what matters
@@ -73,41 +85,22 @@ class SpecializedNN {
   /// accounting: CostMeter::ChargeTraining).
   int64_t trained_frames() const;
 
-  /// Per-head softmax probabilities for one frame.
-  std::vector<std::vector<float>> PredictProbs(const SyntheticVideo& video,
-                                               int64_t frame) const;
-
-  /// Expected count under the head's softmax: sum_k k * p_k. Less biased
-  /// than the argmax for aggregation.
-  double ExpectedCount(const SyntheticVideo& video, int64_t frame,
-                       int head = 0) const;
-
-  /// Importance-sampling signal for scrubbing (Section 7): the sum over
-  /// heads of P(count >= min_counts[h]). Higher means the frame more
-  /// likely satisfies the conjunctive "at least N of each class" predicate.
-  double QueryConfidence(const SyntheticVideo& video, int64_t frame,
-                         const std::vector<int>& min_counts) const;
-
-  /// Batched ExpectedCount over many frames (one forward pass per ~256
-  /// frames; ~10x faster than per-frame calls for full-day evaluation).
+  /// Expected count under the head's softmax, sum_k k * p_k, per frame
+  /// (less biased than the argmax for aggregation). One forward pass per
+  /// ~256 frames.
   std::vector<float> ExpectedCountsForFrames(
       const SyntheticVideo& video, const std::vector<int64_t>& frames,
       int head = 0) const;
 
-  /// How multi-head tail probabilities combine into one confidence.
-  /// kSum is the paper's formulation ("the sum of the probability of at
-  /// least one bus and at least five cars"); kProduct scores the joint
-  /// event under head independence, which ranks conjunctive queries much
-  /// more sharply and is what the scrubbing executor uses by default.
-  enum class ConjunctionMode { kSum, kProduct };
-
-  /// Batched QueryConfidence over many frames.
+  /// Importance-sampling signal for scrubbing (Section 7) per frame: the
+  /// paper's sum over heads of P(count >= min_counts[h]) ("the sum of the
+  /// probability of at least one bus and at least five cars"). Higher
+  /// means the frame more likely satisfies the conjunctive "at least N of
+  /// each class" predicate. Heads past the end of `min_counts` do not
+  /// contribute.
   std::vector<float> QueryConfidencesForFrames(
       const SyntheticVideo& video, const std::vector<int64_t>& frames,
-      const std::vector<int>& min_counts,
-      ConjunctionMode mode = ConjunctionMode::kSum) const;
-
-  const SpecializedNNConfig& config() const;
+      const std::vector<int>& min_counts) const;
 
  private:
   struct Impl;

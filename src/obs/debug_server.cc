@@ -138,7 +138,7 @@ Status DebugServer::Start() {
   StatusRegistry& registry = StatusRegistry::Global();
   tokens_.push_back(registry.AddSection("process", [this] {
     return StrFormat("{\"build\":\"%s\",\"uptime_seconds\":%.1f}",
-                     net::JsonEscape(BuildInfo()).c_str(), UptimeSeconds());
+                     JsonEscape(BuildInfo()).c_str(), UptimeSeconds());
   }));
   tokens_.push_back(registry.AddSection("exec", [] {
     return StrFormat("{\"max_parallelism\":%d}",
@@ -217,9 +217,9 @@ HttpResponse DebugServer::HandleHealthz(const HttpRequest&) {
     healthy = healthy && check.ok;
     if (!first) body += ",";
     first = false;
-    body += "{\"name\":\"" + net::JsonEscape(check.name) + "\",\"ok\":" +
+    body += "{\"name\":\"" + JsonEscape(check.name) + "\",\"ok\":" +
             (check.ok ? "true" : "false") + ",\"detail\":\"" +
-            net::JsonEscape(check.detail) + "\"}";
+            JsonEscape(check.detail) + "\"}";
   }
   body += StrFormat("],\"uptime_seconds\":%.1f,\"status\":\"%s\"}",
                     UptimeSeconds(), healthy ? "ok" : "unhealthy");
@@ -257,12 +257,12 @@ HttpResponse DebugServer::HandleStatusz(const HttpRequest& request) {
 
   std::string body = StrFormat(
       "{\"build\":\"%s\",\"uptime_seconds\":%.1f,\"sections\":[",
-      net::JsonEscape(BuildInfo()).c_str(), UptimeSeconds());
+      JsonEscape(BuildInfo()).c_str(), UptimeSeconds());
   bool first = true;
   for (const auto& [name, json] : sections) {
     if (!first) body += ",";
     first = false;
-    body += "{\"section\":\"" + net::JsonEscape(name) + "\",\"status\":" +
+    body += "{\"section\":\"" + JsonEscape(name) + "\",\"status\":" +
             json + "}";
   }
   body += "]}";

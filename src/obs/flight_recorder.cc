@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/http.h"
 #include "util/string_util.h"
 
 namespace blazeit {
@@ -25,18 +24,18 @@ std::string FlightRecord::ToJson() const {
   std::string out = "{";
   out += "\"correlation_id\":" + std::to_string(correlation_id);
   out += ",\"sequence\":" + std::to_string(sequence);
-  out += ",\"client\":\"" + net::JsonEscape(client) + "\"";
-  out += ",\"query\":\"" + net::JsonEscape(query) + "\"";
-  out += ",\"plan\":\"" + net::JsonEscape(plan) + "\"";
-  out += ",\"accuracy_tier\":\"" + net::JsonEscape(accuracy_tier) + "\"";
+  out += ",\"client\":\"" + JsonEscape(client) + "\"";
+  out += ",\"query\":\"" + JsonEscape(query) + "\"";
+  out += ",\"plan\":\"" + JsonEscape(plan) + "\"";
+  out += ",\"accuracy_tier\":\"" + JsonEscape(accuracy_tier) + "\"";
   out += std::string(",\"ok\":") + (ok ? "true" : "false");
   out += std::string(",\"degraded\":") + (degraded ? "true" : "false");
-  if (!ok) out += ",\"error\":\"" + net::JsonEscape(error) + "\"";
+  if (!ok) out += ",\"error\":\"" + JsonEscape(error) + "\"";
   out += StrFormat(",\"wall_ms\":%.3f", wall_ms);
   out += StrFormat(",\"cost_seconds\":%.6f", cost_seconds);
   if (trace != nullptr) {
     out += ",\"trace_structure\":\"" +
-           net::JsonEscape(trace->StructureSignature()) + "\"";
+           JsonEscape(trace->StructureSignature()) + "\"";
   }
   out += "}";
   return out;

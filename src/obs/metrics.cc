@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 namespace obs {
@@ -21,26 +22,6 @@ const char* KindName(MetricsSnapshot::Kind kind) {
 
 const char* StabilityName(Stability stability) {
   return stability == Stability::kStable ? "stable" : "unstable";
-}
-
-/// Instrument names are caller-chosen identifiers, but escape anyway so a
-/// stray quote can never produce malformed JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void AppendIntArray(const std::vector<int64_t>& values, std::string* out) {

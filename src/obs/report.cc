@@ -2,28 +2,12 @@
 
 #include <cstdio>
 
+#include "util/string_util.h"
+
 namespace blazeit {
 namespace obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /// %.17g round-trips doubles exactly, so a report's JSON totals reconcile
 /// with the in-memory CostMeter to the bit after a parse.

@@ -3,29 +3,12 @@
 #include <cstdio>
 
 #include "sim/cost_model.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 namespace obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string FormatDouble(double v) {
   char buf[64];

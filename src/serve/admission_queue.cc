@@ -10,7 +10,6 @@
 #include "core/optimizer.h"
 #include "core/scrubbing.h"
 #include "exec/thread_pool.h"
-#include "net/http.h"
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -105,7 +104,7 @@ AdmissionQueue::AdmissionQueue(BlazeItEngine* engine, ServeOptions options)
       out += StrFormat(
           "{\"client\":\"%s\",\"submitted\":%lld,\"rejected\":%lld,"
           "\"shed\":%lld,\"cancelled\":%lld,\"pending\":%lld}",
-          net::JsonEscape(client).c_str(),
+          JsonEscape(client).c_str(),
           static_cast<long long>(counters.submitted),
           static_cast<long long>(counters.rejected),
           static_cast<long long>(counters.shed),

@@ -22,6 +22,11 @@ std::vector<std::string> Split(const std::string& s, char delim);
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
+/// Escapes a string for inclusion inside a JSON string literal: quotes and
+/// backslashes get a backslash, newline, carriage return and tab their
+/// short escapes, and every other control character a \u00XX escape.
+std::string JsonEscape(const std::string& s);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -52,8 +52,9 @@ inline constexpr uint64_t kThresholdDaySeed = 202;
 inline constexpr uint64_t kTestDaySeed = 303;
 
 /// Default per-day lengths (frames). Scaled down from the paper's ~1M-frame
-/// test days so the full suite runs on CPU; see DESIGN.md. One hour of
-/// 30 fps video for evaluation, 20 minutes for each auxiliary day.
+/// test days because every frame is rendered and scored on the CPU, and
+/// the full suite has to run in minutes. One hour of 30 fps video for
+/// evaluation, 20 minutes for each auxiliary day.
 inline constexpr int64_t kDefaultTestFrames = 108000;
 inline constexpr int64_t kDefaultTrainFrames = 36000;
 inline constexpr int64_t kDefaultHeldOutFrames = 36000;

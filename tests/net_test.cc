@@ -17,6 +17,7 @@
 
 #include "net/http.h"
 #include "net/http_server.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 namespace net {
@@ -107,7 +108,8 @@ TEST(HttpSerializeTest, AddsContentLengthAndConnectionClose) {
 TEST(HttpEscapeTest, EscapersCoverControlAndMarkupCharacters) {
   EXPECT_EQ(UrlDecode("a%2Fb+c%zz"), "a/b c%zz");  // bad escape passes through
   EXPECT_EQ(HtmlEscape("<a href=\"x\">&"), "&lt;a href=&quot;x&quot;&gt;&amp;");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd\x01"), "a\\\"b\\\\c\\nd\\u0001");
+  EXPECT_EQ(JsonEscape("a\"b\\c\nd\x01\r\t"),
+            "a\\\"b\\\\c\\nd\\u0001\\r\\t");
 }
 
 // ---------------------------------------------------------------------------

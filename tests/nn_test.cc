@@ -7,7 +7,6 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "nn/trainer.h"
 #include "util/random.h"
 
 namespace blazeit {
@@ -132,55 +131,6 @@ TEST(SgdTest, MomentumAccumulates) {
   opt.Step();  // v=1, w=-0.1
   opt.Step();  // v=1.9, w=-0.29
   EXPECT_NEAR(w[0], -0.29f, 1e-5);
-}
-
-TEST(TrainerTest, LearnsLinearlySeparableTask) {
-  Rng rng(7);
-  const int n = 2000, d = 8;
-  std::vector<std::vector<float>> xs(n);
-  std::vector<int> ys(n);
-  for (int i = 0; i < n; ++i) {
-    xs[i].resize(d);
-    for (int j = 0; j < d; ++j) xs[i][j] = static_cast<float>(rng.Normal(0, 1));
-    ys[i] = xs[i][0] + xs[i][1] > 0 ? 1 : 0;
-  }
-  Rng init(3);
-  auto model = BuildMlp(d, {16}, 2, &init);
-  TrainConfig cfg;
-  cfg.epochs = 5;
-  cfg.lr = 0.05;
-  auto loss = TrainClassifier(
-      model.get(), [&](int64_t i) { return xs[static_cast<size_t>(i)]; }, ys,
-      d, cfg);
-  BLAZEIT_ASSERT_OK(loss);
-  EXPECT_LT(loss.value(), 0.2);
-}
-
-TEST(TrainerTest, RejectsBadArguments) {
-  Rng init(3);
-  auto model = BuildMlp(4, {8}, 2, &init);
-  TrainConfig cfg;
-  EXPECT_FALSE(TrainClassifier(nullptr, nullptr, {0}, 4, cfg).ok());
-  EXPECT_FALSE(
-      TrainClassifier(model.get(), [](int64_t) { return std::vector<float>(4); },
-                      {}, 4, cfg)
-          .ok());
-  // Feature size mismatch.
-  auto r = TrainClassifier(model.get(),
-                           [](int64_t) { return std::vector<float>(3); }, {0, 1},
-                           4, cfg);
-  EXPECT_FALSE(r.ok());
-}
-
-TEST(BuildMlpTest, LayerCount) {
-  Rng rng(1);
-  auto m = BuildMlp(10, {8, 8}, 3, &rng);
-  // 2x (Linear+ReLU) + final Linear = 5 layers.
-  EXPECT_EQ(m->size(), 5u);
-  Matrix x(2, 10);
-  Matrix y = m->Forward(x);
-  EXPECT_EQ(y.rows(), 2);
-  EXPECT_EQ(y.cols(), 3);
 }
 
 }  // namespace

@@ -396,11 +396,11 @@ TEST_F(SpecializedNNTest, SingleHeadShapes) {
   BLAZEIT_ASSERT_OK(nn);
   EXPECT_EQ(nn.value().num_heads(), 1);
   EXPECT_GE(nn.value().head_classes(0), 2);
-  auto probs = nn.value().PredictProbs(*video_, 0);
-  ASSERT_EQ(probs.size(), 1u);
-  double sum = 0;
-  for (float p : probs[0]) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-4);
+  // P(count >= 0) is the whole softmax row, so it sums to one.
+  auto total =
+      nn.value().QueryConfidencesForFrames(*video_, {0, 17, 333}, {0});
+  ASSERT_EQ(total.size(), 3u);
+  for (float sum : total) EXPECT_NEAR(sum, 1.0, 1e-4);
 }
 
 TEST_F(SpecializedNNTest, LearnsCorrelatedCounts) {
@@ -417,49 +417,25 @@ TEST_F(SpecializedNNTest, LearnsCorrelatedCounts) {
   EXPECT_GT(cov.Correlation(), 0.3);
 }
 
-TEST_F(SpecializedNNTest, BatchMatchesPerFrame) {
-  auto nn =
-      SpecializedNN::Train(*video_, {labels_->Counts(kCar)}, FastConfig())
-          .value();
-  std::vector<int64_t> frames = {0, 17, 333, 999};
-  auto batch = nn.ExpectedCountsForFrames(*video_, frames);
-  for (size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_NEAR(batch[i], nn.ExpectedCount(*video_, frames[i]), 1e-4);
-  }
-  auto conf_batch = nn.QueryConfidencesForFrames(*video_, frames, {1});
-  for (size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_NEAR(conf_batch[i], nn.QueryConfidence(*video_, frames[i], {1}),
-                1e-4);
-  }
-}
-
 TEST_F(SpecializedNNTest, MultiHeadSeparateConfidences) {
   auto nn = SpecializedNN::Train(
                 *video_, {labels_->Counts(kCar), labels_->Counts(kBus)},
                 FastConfig())
                 .value();
   EXPECT_EQ(nn.num_heads(), 2);
-  auto probs = nn.PredictProbs(*video_, 5);
-  EXPECT_EQ(probs.size(), 2u);
-  // Sum mode adds the per-head tails (paper's signal); bounded by #heads.
-  double conf = nn.QueryConfidence(*video_, 5, {1, 1});
-  EXPECT_GE(conf, 0.0);
-  EXPECT_LE(conf, 2.0 + 1e-6);
-}
-
-TEST_F(SpecializedNNTest, ProductModeBoundedByOne) {
-  auto nn = SpecializedNN::Train(
-                *video_, {labels_->Counts(kCar), labels_->Counts(kBus)},
-                FastConfig())
-                .value();
-  std::vector<int64_t> frames = {0, 100, 200};
-  auto prod = nn.QueryConfidencesForFrames(
-      *video_, frames, {1, 1}, SpecializedNN::ConjunctionMode::kProduct);
-  auto sum = nn.QueryConfidencesForFrames(
-      *video_, frames, {1, 1}, SpecializedNN::ConjunctionMode::kSum);
+  const std::vector<int64_t> frames = {5, 100, 200};
+  // The paper's signal adds the per-head tails, so it is bounded by the
+  // number of heads; a minimum of 0 makes a head contribute exactly 1.
+  auto both = nn.QueryConfidencesForFrames(*video_, frames, {1, 1});
+  auto car = nn.QueryConfidencesForFrames(*video_, frames, {1, 0});
+  auto bus = nn.QueryConfidencesForFrames(*video_, frames, {0, 1});
+  auto first_head = nn.QueryConfidencesForFrames(*video_, frames, {1});
   for (size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_LE(prod[i], 1.0f + 1e-6);
-    EXPECT_LE(prod[i], sum[i] + 1e-6);
+    EXPECT_GE(both[i], 0.0f);
+    EXPECT_LE(both[i], 2.0f + 1e-6f);
+    EXPECT_NEAR(both[i], (car[i] - 1.0f) + (bus[i] - 1.0f), 1e-5);
+    // Heads past the end of min_counts do not contribute.
+    EXPECT_NEAR(first_head[i], car[i] - 1.0f, 1e-5);
   }
 }
 
@@ -467,10 +443,9 @@ TEST_F(SpecializedNNTest, ExpectedCountWithinClassRange) {
   auto nn =
       SpecializedNN::Train(*video_, {labels_->Counts(kCar)}, FastConfig())
           .value();
-  for (int64_t t : {0, 50, 500}) {
-    double e = nn.ExpectedCount(*video_, t);
-    EXPECT_GE(e, 0.0);
-    EXPECT_LE(e, nn.head_classes(0) - 1.0);
+  for (float e : nn.ExpectedCountsForFrames(*video_, {0, 50, 500})) {
+    EXPECT_GE(e, 0.0f);
+    EXPECT_LE(e, nn.head_classes(0) - 1.0f);
   }
 }
 

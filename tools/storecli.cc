@@ -106,6 +106,7 @@
 #include "storage/record_format.h"
 #include "storage/segment_sketch.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "video/datasets.h"
 
 namespace blazeit {
@@ -232,7 +233,8 @@ int RunStats(const std::string& dir, bool json) {
   if (!sketches.ok()) return Fail(sketches.status());
 
   if (json) {
-    std::string out = "{\"dir\":\"" + dir + "\",\"namespaces\":[";
+    std::string out =
+        "{\"dir\":\"" + JsonEscape(dir) + "\",\"namespaces\":[";
     bool first = true;
     for (const auto& ns : namespaces) {
       if (!first) out += ",";
@@ -457,35 +459,6 @@ struct ServeArgs {
   int64_t wall_clock_ms = 0;
 };
 
-std::string CliJsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 int RunServe(const ServeArgs& args) {
   // One workload line is `client frameql`; the first whitespace run splits
   // them, so queries keep their internal spaces.
@@ -634,8 +607,8 @@ int RunServe(const ServeArgs& args) {
     if (!first) out += ",";
     first = false;
     out += "{\"ticket\":" + std::to_string(r.ticket);
-    out += ",\"client\":\"" + CliJsonEscape(r.client) + "\"";
-    out += ",\"frameql\":\"" + CliJsonEscape(r.frameql) + "\"";
+    out += ",\"client\":\"" + JsonEscape(r.client) + "\"";
+    out += ",\"frameql\":\"" + JsonEscape(r.frameql) + "\"";
     out += ",\"admitted_tick\":" + std::to_string(r.admitted_tick);
     out += ",\"executed_tick\":" + std::to_string(r.executed_tick);
     out += std::string(",\"degraded\":") + (r.degraded ? "true" : "false");
@@ -649,7 +622,7 @@ int RunServe(const ServeArgs& args) {
         out += ",\"report\":" + r.output.value().report->ToJson();
       }
     } else {
-      out += ",\"error\":\"" + CliJsonEscape(r.output.status().ToString()) +
+      out += ",\"error\":\"" + JsonEscape(r.output.status().ToString()) +
              "\"";
     }
     out += "}";
@@ -659,9 +632,9 @@ int RunServe(const ServeArgs& args) {
   for (const Rejection& r : rejected) {
     if (!first) out += ",";
     first = false;
-    out += "{\"client\":\"" + CliJsonEscape(r.client) + "\"";
-    out += ",\"frameql\":\"" + CliJsonEscape(r.frameql) + "\"";
-    out += ",\"error\":\"" + CliJsonEscape(r.error) + "\"}";
+    out += "{\"client\":\"" + JsonEscape(r.client) + "\"";
+    out += ",\"frameql\":\"" + JsonEscape(r.frameql) + "\"";
+    out += ",\"error\":\"" + JsonEscape(r.error) + "\"}";
   }
   const serve::ServerStats stats = queue.stats();
   char buf[512];
