@@ -18,6 +18,7 @@
 #include "stats/bootstrap.h"
 #include "stats/control_variates.h"
 #include "stats/sampler.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "video/datasets.h"
 #include "video/render_features.h"
@@ -46,6 +47,35 @@ void BM_FrameFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FrameFeatures);
+
+// The channel means of a 32x32 render, the raster the 16-grid features
+// pool: exact lane sums where the values allow them (raster::SumChannels).
+void BM_MeanChannels(benchmark::State& state) {
+  Image img = Video().RenderFrame(0, 32, 32);
+  double means[3];
+  for (auto _ : state) {
+    img.MeanChannels(means);
+    benchmark::DoNotOptimize(means);
+  }
+}
+BENCHMARK(BM_MeanChannels);
+
+// CRC-32 over 8 MiB, about one cold-ingest store's records: the bytewise
+// reference loop (1 byte per step) and the slice-by-8 one (8).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> data(size_t{8} << 20);
+  Rng rng(9);
+  for (unsigned char& b : data) b = static_cast<unsigned char>(rng.engine()());
+  const bool sliced = state.range(0) == 8;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sliced ? Crc32Update(kCrc32Init, data.data(), data.size())
+               : Crc32UpdateBytewise(kCrc32Init, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->ArgName("bytes_per_step")->Arg(1)->Arg(8);
 
 void BM_SimulatedDetector(benchmark::State& state) {
   SimulatedDetector det;
@@ -193,15 +223,31 @@ void BM_SmallNNInference(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallNNInference)->Arg(256);
 
-void BM_SmallNNTrain(benchmark::State& state) {
-  const SpecializedNNConfig cfg = SmallNNConfig();
+// Cold training at the pool size state.range(0): one lane runs SGD on
+// the current chunk of four batches while the others render the next.
+void TrainAtPool(benchmark::State& state, const SpecializedNNConfig& cfg) {
+  exec::ThreadPool::Instance().Reconfigure(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto nn = SpecializedNN::Train(Video(), {CarCounts()}, cfg);
     benchmark::DoNotOptimize(nn);
   }
   state.SetItemsProcessed(state.iterations() * cfg.max_train_frames);
+  exec::ThreadPool::Instance().Reconfigure(exec::ThreadPool::ThreadsFromEnv());
 }
-BENCHMARK(BM_SmallNNTrain);
+
+void BM_SmallNNTrain(benchmark::State& state) {
+  TrainAtPool(state, SmallNNConfig());
+}
+BENCHMARK(BM_SmallNNTrain)->ArgName("pool")->Arg(1)->Arg(2);
+
+// The default 32x32 raster and hidden {64}, whose first-layer gradient
+// GEMMs are large enough to shard but run on the SGD lane only.
+void BM_DefaultNNTrain(benchmark::State& state) {
+  SpecializedNNConfig cfg;
+  cfg.max_train_frames = 1500;
+  TrainAtPool(state, cfg);
+}
+BENCHMARK(BM_DefaultNNTrain)->ArgName("pool")->Arg(1)->Arg(2)->Arg(4);
 
 // ---------------------------------------------------------------------------
 // A repeat query's fixed work: a weights-hit Train, the shared tier's run

@@ -6,11 +6,19 @@
 
 namespace blazeit {
 
+namespace {
+
+uint64_t DetectionNamespace(uint64_t video_fingerprint,
+                            uint64_t detector_fingerprint) {
+  return HashCombine(HashCombine(video_fingerprint, detector_fingerprint),
+                     kDerivedArtifactEpoch);
+}
+
+}  // namespace
+
 uint64_t DetectionNamespace(const SyntheticVideo& video,
                             const ObjectDetector& detector) {
-  return HashCombine(
-      HashCombine(video.fingerprint(), detector.ParamsFingerprint()),
-      kDerivedArtifactEpoch);
+  return DetectionNamespace(video.fingerprint(), detector.ParamsFingerprint());
 }
 
 std::vector<Detection> CachedDetector::Detect(const SyntheticVideo& video,
@@ -35,7 +43,8 @@ std::vector<Detection> CachedDetector::Detect(const SyntheticVideo& video,
   if (store_ == nullptr) {
     dets = inner_->Detect(video, frame);
   } else {
-    const uint64_t ns = DetectionNamespace(video, *inner_);
+    const uint64_t ns =
+        DetectionNamespace(video.fingerprint(), inner_fingerprint_);
     auto stored = store_->GetDetections(ns, frame);
     if (stored.ok()) {
       store_hits_.fetch_add(1, std::memory_order_relaxed);

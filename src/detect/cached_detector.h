@@ -43,10 +43,14 @@ uint64_t DetectionNamespace(const SyntheticVideo& video,
 class CachedDetector : public ObjectDetector {
  public:
   /// Neither pointer is owned; both must outlive this object. `store` may
-  /// be null (process-local memoization only).
+  /// be null (process-local memoization only). The inner detector's
+  /// ParamsFingerprint is read once, here, so its parameters must not
+  /// change afterwards.
   explicit CachedDetector(const ObjectDetector* inner,
                           DetectionStore* store = nullptr)
-      : inner_(inner), store_(store) {}
+      : inner_(inner),
+        inner_fingerprint_(inner->ParamsFingerprint()),
+        store_(store) {}
 
   std::vector<Detection> Detect(const SyntheticVideo& video,
                                 int64_t frame) const override;
@@ -55,9 +59,7 @@ class CachedDetector : public ObjectDetector {
     return inner_->name() + (store_ != nullptr ? "+store" : "+cache");
   }
 
-  uint64_t ParamsFingerprint() const override {
-    return inner_->ParamsFingerprint();
-  }
+  uint64_t ParamsFingerprint() const override { return inner_fingerprint_; }
 
   /// Memory-map misses served by the store, and those the store could not
   /// serve (computed by the inner detector). Both stay 0 without a store.
@@ -85,6 +87,9 @@ class CachedDetector : public ObjectDetector {
   };
 
   const ObjectDetector* inner_;
+  /// inner_->ParamsFingerprint(), hashed once rather than on every store
+  /// lookup.
+  uint64_t inner_fingerprint_;
   DetectionStore* store_;
   mutable util::Mutex mu_;
   /// Keyed by the full stream-day fingerprint (SyntheticVideo::

@@ -14,11 +14,5 @@ void ParallelFor(int64_t total, int64_t shard_size,
   });
 }
 
-void ParallelFor(int64_t total,
-                 const std::function<void(int64_t begin, int64_t end,
-                                          int slot)>& fn) {
-  ParallelFor(total, kDefaultShardSize, fn);
-}
-
 }  // namespace exec
 }  // namespace blazeit

@@ -39,11 +39,6 @@ void ParallelFor(int64_t total, int64_t shard_size,
                  const std::function<void(int64_t begin, int64_t end,
                                           int slot)>& fn);
 
-/// As ParallelFor with the default shard size.
-void ParallelFor(int64_t total,
-                 const std::function<void(int64_t begin, int64_t end,
-                                          int slot)>& fn);
-
 /// Maps each shard to a value and returns the values in ascending shard
 /// order — the deterministic input to a serial fold. The per-shard
 /// computation runs in parallel; the returned vector's order never

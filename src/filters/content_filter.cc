@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "exec/frame_pipeline.h"
+#include "exec/parallel_for.h"
 #include "util/random.h"
 
 namespace blazeit {
@@ -41,17 +42,25 @@ std::vector<double> ContentFilter::ScoreBatch(
     cache_->GetFrameDoublesRun(ns, frames, 1, out.data(), &miss);
   }
 
-  // Misses render and score in fixed-size shards with per-worker scratch;
-  // each shard writes only its own disjoint slots of `out`, so scores are
+  // Misses render and score in fixed-size shards with per-worker scratch,
+  // each shard computing its frames' noise seeds together; each shard
+  // writes only its own disjoint slots of `out`, so scores are
   // bit-identical to a serial loop at any thread count.
   exec::FramePipeline::Run(
-      static_cast<int64_t>(miss.size()),
+      static_cast<int64_t>(miss.size()), exec::kDefaultShardSize,
       [&](int64_t begin, int64_t end, exec::FramePipeline::Scratch* scratch) {
-        for (int64_t j = begin; j < end; ++j) {
-          const size_t slot = miss[static_cast<size_t>(j)];
-          video.RenderFrameRegionInto(frames[slot], Rect{0, 0, 1, 1}, kRaster,
-                                      kRaster, &scratch->image);
-          out[slot] = udf_(scratch->image);
+        int64_t shard_frames[exec::kDefaultShardSize] = {};
+        uint64_t seeds[exec::kDefaultShardSize] = {};
+        const size_t count = static_cast<size_t>(end - begin);
+        for (size_t i = 0; i < count; ++i) {
+          shard_frames[i] = frames[miss[static_cast<size_t>(begin) + i]];
+        }
+        video.NoiseSeeds(shard_frames, count, seeds);
+        for (size_t i = 0; i < count; ++i) {
+          video.RenderFrameRegionInto(shard_frames[i], Rect{0, 0, 1, 1},
+                                      kRaster, kRaster, seeds[i],
+                                      &scratch->image);
+          out[miss[static_cast<size_t>(begin) + i]] = udf_(scratch->image);
         }
       });
 

@@ -1,11 +1,14 @@
 #include "nn/specialized_nn.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <numeric>
 
 #include "exec/frame_pipeline.h"
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "nn/optimizer.h"
@@ -102,6 +105,23 @@ struct SpecializedNN::Impl {
 
 namespace {
 
+/// Training renders its rows a chunk of kTrainChunkBatches batches ahead
+/// of SGD, in render shards of kTrainRenderShard rows. Both sizes are
+/// fixed, so shard boundaries never depend on the thread count (and rows
+/// are disjoint, so they could not change a bit anyway).
+constexpr int64_t kTrainChunkBatches = 4;
+constexpr int64_t kTrainRenderShard = 4;
+
+/// Rows [begin, begin + frames.size()) of one epoch's shuffled order:
+/// each row's training frame and noise seed, and the batch matrices the
+/// rows render into (batch b holds rows b * batch_size onward).
+struct TrainChunk {
+  int64_t begin = 0;
+  std::vector<int64_t> frames;
+  std::vector<uint64_t> seeds;
+  std::vector<Matrix> batches;
+};
+
 /// Fingerprint of everything that determines the trained weights. The
 /// cache pointer itself is deliberately excluded — it selects where
 /// artifacts live, not what they contain.
@@ -144,6 +164,8 @@ Result<SpecializedNN> SpecializedNN::Train(
   if (n_labeled > train_day.num_frames())
     return Status::InvalidArgument(
         "more labels than frames in the training day");
+  if (config.train.batch_size <= 0)
+    return Status::InvalidArgument("batch size must be positive");
 
   auto impl = std::make_shared<Impl>();
   impl->config = config;
@@ -235,53 +257,112 @@ Result<SpecializedNN> SpecializedNN::Train(
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::vector<SoftmaxCrossEntropy> losses(num_heads);
-  // Feature shard size for the per-batch parallel render: small because a
-  // training mini-batch is only ~16 rows; fixed so shard boundaries (and
-  // hence bits, trivially — rows are disjoint) never depend on threads.
-  constexpr int64_t kTrainRenderShard = 4;
+  const int64_t batch_size = config.train.batch_size;
+  const int64_t chunk_rows = kTrainChunkBatches * batch_size;
+  const int64_t num_chunks = exec::NumShards(n, chunk_rows);
+  // Two chunk buffers: SGD reads one while the pool renders the other.
+  std::array<TrainChunk, 2> chunks;
+  exec::ThreadPool& pool = exec::ThreadPool::Instance();
+  std::vector<Image> scratch(static_cast<size_t>(pool.max_parallelism()));
 
   for (int epoch = 0; epoch < config.train.epochs; ++epoch) {
     std::shuffle(order.begin(), order.end(), rng.engine());
     double epoch_loss = 0.0;
     int64_t batches = 0;
-    for (int64_t start = 0; start < n; start += config.train.batch_size) {
-      const int batch = static_cast<int>(
-          std::min<int64_t>(config.train.batch_size, n - start));
-      Matrix x(batch, impl->input_dim);
-      std::vector<std::vector<int>> y(num_heads,
-                                      std::vector<int>(static_cast<size_t>(batch)));
-      // Rendering the batch rows dominates a training step; shard it
-      // across the pool (disjoint Matrix rows, per-worker scratch). The
-      // SGD step itself stays serial — its GEMMs shard internally.
-      exec::FramePipeline::Run(
-          batch, kTrainRenderShard,
-          [&](int64_t rb, int64_t re, exec::FramePipeline::Scratch* scratch) {
-            for (int64_t i = rb; i < re; ++i) {
-              size_t pos =
-                  static_cast<size_t>(order[static_cast<size_t>(start + i)]);
-              RenderFrameFeatures(train_day, indices[pos], config.raster_width,
-                                  config.raster_height,
-                                  x.Row(static_cast<int>(i)), &scratch->image);
-            }
-          });
-      for (int i = 0; i < batch; ++i) {
-        size_t pos = static_cast<size_t>(order[static_cast<size_t>(start + i)]);
-        for (size_t h = 0; h < num_heads; ++h)
-          y[h][static_cast<size_t>(i)] = clamped[h][pos];
+    // Points chunk `c` at its rows of this epoch's order, computes their
+    // frames and noise seeds, and sizes its batch matrices; runs on the
+    // caller, between pool jobs.
+    auto prepare = [&](int64_t c, TrainChunk* chunk) {
+      chunk->begin = c * chunk_rows;
+      const int64_t rows = std::min(chunk_rows, n - chunk->begin);
+      chunk->frames.resize(static_cast<size_t>(rows));
+      for (int64_t r = 0; r < rows; ++r) {
+        chunk->frames[static_cast<size_t>(r)] = indices[static_cast<size_t>(
+            order[static_cast<size_t>(chunk->begin + r)])];
       }
-      Matrix trunk_out = impl->trunk->Forward(x);
-      Matrix dtrunk(trunk_out.rows(), trunk_out.cols());
-      for (size_t h = 0; h < num_heads; ++h) {
-        Matrix logits = impl->heads[h]->Forward(trunk_out);
-        epoch_loss += losses[h].Forward(logits, y[h]);
-        Matrix dhead = impl->heads[h]->Backward(losses[h].Backward());
-        for (size_t j = 0; j < dtrunk.data().size(); ++j)
-          dtrunk.data()[j] += dhead.data()[j];
+      chunk->seeds.resize(chunk->frames.size());
+      train_day.NoiseSeeds(chunk->frames.data(), chunk->frames.size(),
+                           chunk->seeds.data());
+      chunk->batches.resize(
+          static_cast<size_t>(exec::NumShards(rows, batch_size)));
+      for (size_t b = 0; b < chunk->batches.size(); ++b) {
+        const int64_t batch_begin = static_cast<int64_t>(b) * batch_size;
+        chunk->batches[b].Resize(
+            static_cast<int>(std::min(batch_size, rows - batch_begin)),
+            impl->input_dim);
       }
-      impl->trunk->Backward(dtrunk);
-      opt.Step();
-      opt.ZeroGrad();
-      ++batches;
+      return exec::NumShards(rows, kTrainRenderShard);
+    };
+    // Renders shard `shard` of `chunk`'s rows into its batch matrices.
+    auto render_shard = [&](TrainChunk* chunk, int64_t shard, int slot) {
+      const int64_t end =
+          std::min(static_cast<int64_t>(chunk->frames.size()),
+                   (shard + 1) * kTrainRenderShard);
+      for (int64_t r = shard * kTrainRenderShard; r < end; ++r) {
+        const size_t row = static_cast<size_t>(r);
+        RenderFrameFeatures(
+            train_day, chunk->frames[row], chunk->seeds[row],
+            config.raster_width, config.raster_height,
+            chunk->batches[static_cast<size_t>(r / batch_size)].Row(
+                static_cast<int>(r % batch_size)),
+            &scratch[static_cast<size_t>(slot)]);
+      }
+    };
+    // One SGD step per batch of `chunk`, in the epoch's batch order.
+    auto sgd = [&](const TrainChunk& chunk) {
+      for (size_t b = 0; b < chunk.batches.size(); ++b) {
+        const Matrix& x = chunk.batches[b];
+        const int64_t start =
+            chunk.begin + static_cast<int64_t>(b) * batch_size;
+        std::vector<std::vector<int>> y(
+            num_heads, std::vector<int>(static_cast<size_t>(x.rows())));
+        for (int i = 0; i < x.rows(); ++i) {
+          size_t pos =
+              static_cast<size_t>(order[static_cast<size_t>(start + i)]);
+          for (size_t h = 0; h < num_heads; ++h)
+            y[h][static_cast<size_t>(i)] = clamped[h][pos];
+        }
+        Matrix trunk_out = impl->trunk->Forward(x);
+        Matrix dtrunk(trunk_out.rows(), trunk_out.cols());
+        for (size_t h = 0; h < num_heads; ++h) {
+          Matrix logits = impl->heads[h]->Forward(trunk_out);
+          epoch_loss += losses[h].Forward(logits, y[h]);
+          Matrix dhead = impl->heads[h]->Backward(losses[h].Backward());
+          for (size_t j = 0; j < dtrunk.data().size(); ++j)
+            dtrunk.data()[j] += dhead.data()[j];
+        }
+        impl->trunk->Backward(dtrunk);
+        opt.Step();
+        opt.ZeroGrad();
+        ++batches;
+      }
+    };
+
+    // Chunk 0 renders on every lane. Then one job per chunk: shard 0 runs
+    // chunk c's SGD while the other shards render chunk c + 1 on the
+    // remaining lanes. GEMMs called from inside a shard run inline, which
+    // the pool's determinism contract makes bit-neutral. At a 16x16
+    // raster with hidden {32}, training's 16-row GEMMs are below the
+    // sharding threshold anyway; at the default 32x32 raster with hidden
+    // {64}, the first layer's two gradient GEMMs reach it and give up the
+    // lanes they would shard over to the next chunk's render
+    // (BM_DefaultNNTrain times both trades). With the pool off, the job
+    // runs SGD first and then renders, in shard order.
+    const int64_t first_shards = prepare(0, &chunks[0]);
+    pool.RunShards(first_shards, [&](int64_t shard, int slot) {
+      render_shard(&chunks[0], shard, slot);
+    });
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      const TrainChunk& current = chunks[static_cast<size_t>(c % 2)];
+      TrainChunk* next = &chunks[static_cast<size_t>((c + 1) % 2)];
+      const int64_t next_shards = c + 1 < num_chunks ? prepare(c + 1, next) : 0;
+      pool.RunShards(1 + next_shards, [&](int64_t shard, int slot) {
+        if (shard == 0) {
+          sgd(current);
+        } else {
+          render_shard(next, shard - 1, slot);
+        }
+      });
     }
     BLAZEIT_LOG(kDebug) << "specialized NN epoch " << epoch << " loss "
                         << (batches ? epoch_loss / batches : 0.0);
@@ -337,8 +418,9 @@ std::vector<float> SpecializedNN::ProbsForFrames(
   }
 
   // Batched forward passes over the misses, sharded across the exec pool
-  // (one eval batch per shard, rendered into the worker slot's scratch
-  // image and input matrix). Layer math is row-independent and Infer is
+  // (one eval batch per shard: its frames' noise seeds computed together,
+  // then each frame rendered into the worker slot's scratch image and
+  // input matrix). Layer math is row-independent and Infer is
   // stateless, so how frames are grouped into batches — and which worker
   // runs which batch — cannot change any output bit: a partially warm
   // cache and any thread count yield the same floats as a cold serial
@@ -360,10 +442,15 @@ std::vector<float> SpecializedNN::ProbsForFrames(
         const int batch = static_cast<int>(end - start);
         Matrix& x = scratch->matrix;
         x.Resize(batch, impl_->input_dim);
+        int64_t batch_frames[kEvalBatch] = {};
+        uint64_t seeds[kEvalBatch] = {};
         for (int i = 0; i < batch; ++i) {
-          RenderFrameFeatures(
-              video, frames[miss[static_cast<size_t>(start + i)]], w, h,
-              x.Row(i), &scratch->image);
+          batch_frames[i] = frames[miss[static_cast<size_t>(start + i)]];
+        }
+        video.NoiseSeeds(batch_frames, static_cast<size_t>(batch), seeds);
+        for (int i = 0; i < batch; ++i) {
+          RenderFrameFeatures(video, batch_frames[i], seeds[i], w, h,
+                              x.Row(i), &scratch->image);
         }
         Matrix trunk_out = impl_->trunk->Infer(x);
         std::vector<Matrix> head_probs;

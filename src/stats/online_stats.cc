@@ -64,9 +64,4 @@ double OnlineCovariance::Correlation() const {
   return Covariance() / std::sqrt(vx * vy);
 }
 
-void OnlineCovariance::Reset() {
-  count_ = 0;
-  mean_x_ = mean_y_ = c_ = m2x_ = m2y_ = 0.0;
-}
-
 }  // namespace blazeit

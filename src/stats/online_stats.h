@@ -43,8 +43,6 @@ class OnlineCovariance {
   /// Pearson correlation; 0 if either variance vanishes.
   double Correlation() const;
 
-  void Reset();
-
  private:
   int64_t count_ = 0;
   double mean_x_ = 0.0;

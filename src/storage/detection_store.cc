@@ -463,17 +463,19 @@ std::optional<Result<std::string>> DetectionStore::ReadResolved(
   return shard.segments[segment_index]->ReadPayloadAt(offset);
 }
 
-Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
+std::optional<Result<std::string>> DetectionStore::LookupRaw(uint64_t ns,
+                                                             int64_t frame) {
   // Shared lock: lookups race only with other lookups (the common case —
   // parallel frame scans all reading one warm store); the per-segment
   // file handle is guarded inside ReadPayloadAt.
   util::ReaderLock lock(mu_);
   auto it = shards_.find(ns);
-  if (it != shards_.end()) {
-    if (auto payload = ReadResolved(it->second, frame)) {
-      return std::move(*payload);
-    }
-  }
+  if (it == shards_.end()) return std::nullopt;
+  return ReadResolved(it->second, frame);
+}
+
+Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
+  if (auto payload = LookupRaw(ns, frame)) return std::move(*payload);
   return Status::NotFound(
       StrFormat("no record for namespace %016llx frame %lld",
                 static_cast<unsigned long long>(ns),
@@ -503,9 +505,13 @@ Status DetectionStore::PutRaw(uint64_t ns, int64_t frame,
 template <typename T>
 Result<T> DetectionStore::GetDecoded(uint64_t ns, int64_t frame,
                                      Result<T> (*decode)(const std::string&)) {
-  auto payload = GetRaw(ns, frame);
-  Result<T> value = payload.ok() ? decode(payload.value())
-                                 : Result<T>(payload.status());
+  auto payload = LookupRaw(ns, frame);
+  // A miss is the read-through caches' every computed frame, and they
+  // read only its code: its message is a short constant, not GetRaw's
+  // formatted one.
+  if (!payload.has_value()) return Status::NotFound("no record");
+  Result<T> value = payload->ok() ? decode(payload->value())
+                                  : Result<T>(payload->status());
   if (value.ok() || value.status().code() == StatusCode::kNotFound) {
     return value;
   }

@@ -147,17 +147,20 @@ class DetectionStore {
 
   bool Contains(uint64_t ns, int64_t frame) const;
 
-  /// Raw payload access; NotFound when the record is absent.
+  /// Raw payload access; NotFound, naming the key, when the record is
+  /// absent.
   Result<std::string> GetRaw(uint64_t ns, int64_t frame);
   /// First write wins, except for a key a typed Get found unreadable: that
   /// Put replaces the record in place through Repair.
   Status PutRaw(uint64_t ns, int64_t frame, std::string payload);
 
   /// Typed wrappers for the payload codecs — the read-through caches' path.
-  /// A record that exists but fails to read or decode (a CRC-valid record
-  /// from a writer bug or key collision) is logged and remembered, so the
-  /// caller's recompute-and-Put of that key repairs it in place instead of
-  /// losing to first-write-wins and failing again on every run.
+  /// An absent record is a NotFound with a constant message (no
+  /// formatting per miss). A record that exists but fails to read or
+  /// decode (a CRC-valid record from a writer bug or key collision) is
+  /// logged and remembered, so the caller's recompute-and-Put of that key
+  /// repairs it in place instead of losing to first-write-wins and failing
+  /// again on every run.
   Result<std::vector<Detection>> GetDetections(uint64_t ns, int64_t frame);
   Status PutDetections(uint64_t ns, int64_t frame,
                        const std::vector<Detection>& detections);
@@ -360,8 +363,12 @@ class DetectionStore {
 
   explicit DetectionStore(std::string dir) : dir_(std::move(dir)) {}
 
-  /// Shared body of the typed Gets: GetRaw, then `decode`; a failure other
-  /// than NotFound marks the key in malformed_.
+  /// The record read behind GetRaw and the typed Gets: ReadResolved under
+  /// a shared lock; nullopt when the record is absent.
+  std::optional<Result<std::string>> LookupRaw(uint64_t ns, int64_t frame)
+      BLAZEIT_EXCLUDES(mu_);
+  /// Shared body of the typed Gets: LookupRaw, then `decode`; a failure
+  /// other than NotFound marks the key in malformed_.
   template <typename T>
   Result<T> GetDecoded(uint64_t ns, int64_t frame,
                        Result<T> (*decode)(const std::string&))

@@ -7,9 +7,11 @@
 namespace blazeit {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum guarding the
-/// detection-store record format. Table-driven, byte at a time: plenty for
-/// the store's I/O rates, with the standard reflected algorithm so values
-/// match `cksum`-style tooling.
+/// detection-store record format, with the standard reflected algorithm so
+/// values match `cksum`-style tooling. Slice-by-8: eight table lookups
+/// advance the state over eight bytes, about five times the bytewise rate
+/// on 8 MiB on a 4-vCPU AMD EPYC (bench_micro_components BM_Crc32), which
+/// matters because every store open CRC-scans every record.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Incremental form: feed `Crc32Update` successive chunks starting from
@@ -18,6 +20,9 @@ uint32_t Crc32(const void* data, size_t size);
 inline constexpr uint32_t kCrc32Init = 0xFFFFFFFFu;
 uint32_t Crc32Update(uint32_t state, const void* data, size_t size);
 inline uint32_t Crc32Finalize(uint32_t state) { return state ^ 0xFFFFFFFFu; }
+
+/// The byte-at-a-time loop, Crc32Update's reference: equal for every input.
+uint32_t Crc32UpdateBytewise(uint32_t state, const void* data, size_t size);
 
 }  // namespace blazeit
 

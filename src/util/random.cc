@@ -337,4 +337,43 @@ uint64_t Mt19937_64FirstDraw(uint64_t seed) {
   return Temper(Twisted(seed, mt1, prev));
 }
 
+namespace {
+
+constexpr size_t kFirstDrawLanes = 8;
+
+/// Mt19937_64FirstDraw of seeds[0, 8), the eight chains stepped together.
+void FirstDraws8(const uint64_t* seeds, uint64_t* out) {
+  uint64_t prev[kFirstDrawLanes];
+  uint64_t mt1[kFirstDrawLanes];
+  for (size_t l = 0; l < kFirstDrawLanes; ++l) {
+    prev[l] = kInitMul * (seeds[l] ^ (seeds[l] >> 62)) + 1;
+    mt1[l] = prev[l];
+  }
+  for (uint64_t i = 2; i <= kM; ++i) {
+    // Unrolled, the eight states stay in registers across steps.
+#pragma GCC unroll 8
+    for (size_t l = 0; l < kFirstDrawLanes; ++l) {
+      prev[l] = kInitMul * (prev[l] ^ (prev[l] >> 62)) + i;
+    }
+  }
+  for (size_t l = 0; l < kFirstDrawLanes; ++l) {
+    out[l] = Temper(Twisted(seeds[l], mt1[l], prev[l]));
+  }
+}
+
+}  // namespace
+
+void Mt19937_64FirstDraws(const uint64_t* seeds, size_t n, uint64_t* out) {
+  uint64_t lanes[kFirstDrawLanes];
+  for (size_t i = 0; i < n; i += kFirstDrawLanes) {
+    const size_t count = std::min(kFirstDrawLanes, n - i);
+    // A short last group repeats its first seed in the idle lanes.
+    for (size_t l = 0; l < kFirstDrawLanes; ++l) {
+      lanes[l] = seeds[i + (l < count ? l : 0)];
+    }
+    FirstDraws8(lanes, lanes);
+    std::copy_n(lanes, count, out + i);
+  }
+}
+
 }  // namespace blazeit

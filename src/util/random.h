@@ -106,6 +106,13 @@ uint64_t HashCombine(uint64_t a, uint64_t b);
 /// against std::mt19937_64 itself in util_test.
 uint64_t Mt19937_64FirstDraw(uint64_t seed);
 
+/// out[i] = Mt19937_64FirstDraw(seeds[i]) for i in [0, n), eight
+/// independent 156-step init chains at a time, interleaved so the chains'
+/// multiply latencies overlap instead of adding up. `out` may alias
+/// `seeds`. A render run (an inference shard, a training chunk) seeds its
+/// frames' noise streams through this.
+void Mt19937_64FirstDraws(const uint64_t* seeds, size_t n, uint64_t* out);
+
 /// FNV-1a hash of a string; used to derive per-stream (not per-day)
 /// deterministic parameters such as diurnal phases.
 uint64_t HashString(const std::string& s);

@@ -129,22 +129,16 @@ double Image::MeanChannel(int c) const {
 void Image::MeanChannels(double out[3]) const {
   out[0] = out[1] = out[2] = 0.0;
   if (Empty()) return;
-  // One fused pass; each channel's running sum accumulates in the same
-  // row-major order as MeanChannel, so the results are bit-identical.
-  double r = 0, g = 0, b = 0;
-  const float* p = data_.data();
+  // One fused pass whose sums equal MeanChannel's row-major serial sums
+  // bit for bit: in lanes when every value allows an exact sum, serially
+  // otherwise (raster::SumChannels).
   const size_t pixels = static_cast<size_t>(width_) * height_;
-  for (size_t i = 0; i < pixels; ++i) {
-    r += static_cast<double>(p[3 * i + 0]);
-    g += static_cast<double>(p[3 * i + 1]);
-    b += static_cast<double>(p[3 * i + 2]);
-  }
+  double sums[3];
+  raster::SumChannels(data_.data(), pixels, sums);
   // Divide (not multiply by reciprocal): fl(sum / n) != fl(sum * fl(1/n))
   // when n is not a power of two, and bit-identity with MeanChannel is
   // this method's contract.
-  out[0] = r / static_cast<double>(pixels);
-  out[1] = g / static_cast<double>(pixels);
-  out[2] = b / static_cast<double>(pixels);
+  for (int c = 0; c < 3; ++c) out[c] = sums[c] / static_cast<double>(pixels);
 }
 
 double Image::MeanChannelInRect(int c, const Rect& rect) const {

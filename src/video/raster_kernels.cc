@@ -1,6 +1,7 @@
 #include "video/raster_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -312,9 +313,65 @@ __attribute__((target("avx512f,avx512dq"))) void PoolFeatures2x2Avx512(
   }
 }
 
+// Sixteen pixels (48 floats, three vectors) per step into six double
+// accumulators; false, with `sums` unset, when a value breaks the
+// exactness condition.
+__attribute__((target("avx512f,avx512dq"))) bool SumChannelsAvx512(
+    const float* pix, size_t pixels, double sums[3]) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 one = _mm512_set1_ps(1.0f);
+  // The smallest nonzero value allowed: 2^(k+23), k = bit_width - 53.
+  const __m512 min_nonzero = _mm512_set1_ps(
+      std::ldexp(1.0f, static_cast<int>(std::bit_width(pixels)) - 30));
+  __m512d acc[6];
+  for (__m512d& a : acc) a = _mm512_setzero_pd();
+  __mmask16 ok = 0xFFFF;
+  const float* end = pix + pixels * 3;
+  for (const float* p = pix; p < end; p += 48) {
+    for (int v = 0; v < 3; ++v) {
+      const __m512 x = _mm512_loadu_ps(p + 16 * v);
+      ok &= (_mm512_cmp_ps_mask(x, min_nonzero, _CMP_GE_OQ) &
+             _mm512_cmp_ps_mask(x, one, _CMP_LE_OQ)) |
+            _mm512_cmp_ps_mask(x, zero, _CMP_EQ_OQ);
+      acc[2 * v] = _mm512_add_pd(
+          acc[2 * v], _mm512_cvtps_pd(_mm512_castps512_ps256(x)));
+      acc[2 * v + 1] = _mm512_add_pd(
+          acc[2 * v + 1],
+          _mm512_cvtps_pd(_mm512_extractf32x8_ps(x, 1)));
+    }
+  }
+  if (ok != 0xFFFF) return false;
+  // Lane j of the stored accumulators summed the floats at offset j of
+  // every 48-float step, all of channel j % 3. Any order is exact here.
+  alignas(64) double lanes[6 * 8];
+  for (int a = 0; a < 6; ++a) _mm512_store_pd(lanes + 8 * a, acc[a]);
+  sums[0] = sums[1] = sums[2] = 0.0;
+  for (int j = 0; j < 6 * 8; ++j) sums[j % 3] += lanes[j];
+  return true;
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // BLAZEIT_X86_64
+
+bool SumChannels(const float* pix, size_t pixels, double sums[3]) {
+#ifdef BLAZEIT_X86_64
+  if (CpuHasAvx512() && pixels % 16 == 0 &&
+      SumChannelsAvx512(pix, pixels, sums)) {
+    return true;
+  }
+#endif
+  double r = 0, g = 0, b = 0;
+  for (size_t i = 0; i < pixels; ++i) {
+    r += static_cast<double>(pix[3 * i + 0]);
+    g += static_cast<double>(pix[3 * i + 1]);
+    b += static_cast<double>(pix[3 * i + 2]);
+  }
+  sums[0] = r;
+  sums[1] = g;
+  sums[2] = b;
+  return false;
+}
 
 void AddGaussianNoiseClamp(float* data, size_t n, uint64_t state,
                            float sigma) {

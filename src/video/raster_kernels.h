@@ -40,6 +40,20 @@ void AddGaussianNoiseClamp(float* data, size_t n, uint64_t state,
 void AddGaussianNoiseClampScalar(float* data, size_t n, uint64_t state,
                                  float sigma);
 
+/// Per-channel sums of `pixels` interleaved RGB pixels, bit for bit the
+/// serial loop `sums[c] += double(pix[3 * i + c])` for i = 0, 1, ...
+/// The AVX-512 path sums in lanes instead, which is exact under this
+/// condition: with k = bit_width(pixels) - 53, every value is 0 or lies in
+/// [2^(k+23), 1]. A float at or above 2^(k+23) is a multiple of its unit
+/// in the last place, which is at least 2^k, so every partial sum, in any
+/// order, is a multiple of 2^k below pixels < 2^(53+k), and a double holds
+/// each one exactly: no addition rounds, and every order gives the exact
+/// sum the serial loop also reaches. A value outside the condition (a
+/// tiny positive, one above 1, a NaN, a negative), a pixel count that is
+/// not a multiple of the 16-pixel step, or a CPU without AVX-512 runs the
+/// serial loop. Returns true when the lane sums were used.
+bool SumChannels(const float* pix, size_t pixels, double sums[3]);
+
 /// Pools an RGB image of (2 * grid_w) x (2 * grid_h) pixels (`pix`,
 /// row-major, channels interleaved) into grid_w * grid_h cells of four
 /// floats written row-major to `dst`: the normalized mean R, G and B of

@@ -18,10 +18,17 @@ constexpr int kPool = 2;
 void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
                          int grid_w, int grid_h, float* dst,
                          Image* scratch) {
+  RenderFrameFeatures(video, frame, video.NoiseSeed(frame), grid_w, grid_h,
+                      dst, scratch);
+}
+
+void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
+                         uint64_t noise_seed, int grid_w, int grid_h,
+                         float* dst, Image* scratch) {
   Image local;
   Image& img = scratch != nullptr ? *scratch : local;
   video.RenderFrameRegionInto(frame, Rect{0, 0, 1, 1}, grid_w * kPool,
-                              grid_h * kPool, &img);
+                              grid_h * kPool, noise_seed, &img);
   double means[3];
   img.MeanChannels(means);
   raster::PoolFeatures2x2(img.data().data(), grid_w, grid_h, means, dst);

@@ -28,6 +28,13 @@ void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
                          int grid_w, int grid_h, float* dst,
                          Image* scratch = nullptr);
 
+/// As above with the frame's noise seed given: `noise_seed` must be
+/// video.NoiseSeed(frame). Batch loops compute a whole run's seeds with
+/// one SyntheticVideo::NoiseSeeds call and render each frame through this.
+void RenderFrameFeatures(const SyntheticVideo& video, int64_t frame,
+                         uint64_t noise_seed, int grid_w, int grid_h,
+                         float* dst, Image* scratch);
+
 }  // namespace blazeit
 
 #endif  // BLAZEIT_VIDEO_RENDER_FEATURES_H_

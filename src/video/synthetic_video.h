@@ -79,6 +79,18 @@ class SyntheticVideo {
   /// frame; output bits are identical to RenderFrameRegion.
   void RenderFrameRegionInto(int64_t frame, const Rect& roi, int width,
                              int height, Image* out) const;
+  /// As above with the frame's NoiseSeed already computed, so a run of
+  /// frames can compute its seeds together through NoiseSeeds.
+  void RenderFrameRegionInto(int64_t frame, const Rect& roi, int width,
+                             int height, uint64_t noise_seed,
+                             Image* out) const;
+
+  /// Seed of the frame's pixel-noise stream: the first draw of an
+  /// MT19937-64 engine seeded from (day seed, frame).
+  uint64_t NoiseSeed(int64_t frame) const;
+  /// out[i] = NoiseSeed(frames[i]) for i in [0, n), eight engine seedings
+  /// at a time (Mt19937_64FirstDraws).
+  void NoiseSeeds(const int64_t* frames, size_t n, uint64_t* out) const;
 
   // --- Measured statistics (for Table 3 and generator tests) ---
 
@@ -123,6 +135,9 @@ class SyntheticVideo {
 
   /// Global lighting multiplier at a frame (slow sinusoidal wobble).
   float Lighting(int64_t frame) const;
+
+  /// Seed of the engine whose first draw is the frame's NoiseSeed.
+  uint64_t NoiseEngineSeed(int64_t frame) const;
 
   StreamConfig config_;
   uint64_t seed_;

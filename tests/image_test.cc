@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
+#include "util/cpu_features.h"
 #include "util/random.h"
+#include "video/datasets.h"
+#include "video/raster_kernels.h"
+#include "video/synthetic_video.h"
 
 namespace blazeit {
 namespace {
@@ -68,6 +76,96 @@ TEST(ImageTest, MeanChannelsBitIdenticalToPerChannel) {
       ASSERT_EQ(fused[c], img.MeanChannel(c)) << w << "x" << h << " c " << c;
     }
   }
+}
+
+/// The serial per-channel double sums MeanChannels must reproduce, each
+/// divided by the pixel count, compared as bits.
+void ExpectSerialMeans(const Image& img, const std::string& what) {
+  const size_t pixels = static_cast<size_t>(img.width()) * img.height();
+  double got[3];
+  img.MeanChannels(got);
+  for (int c = 0; c < 3; ++c) {
+    double sum = 0;
+    for (size_t i = 0; i < pixels; ++i) {
+      sum += static_cast<double>(img.data()[3 * i + static_cast<size_t>(c)]);
+    }
+    const double want = sum / static_cast<double>(pixels);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[c]), std::bit_cast<uint64_t>(want))
+        << what << " channel " << c;
+  }
+}
+
+// Rendered frames of all six streams at the 32x32 the 16-grid features
+// render at: MeanChannels equals the serial sums bit for bit, and on the
+// AVX-512 tier nearly every frame takes the exact lane sums (a kernel that
+// always fell back would pass the equality alone).
+TEST(ImageTest, MeanChannelsMatchSerialSumsOnStreamFrames) {
+  Image img;
+  int64_t frames = 0;
+  int64_t lane_sums = 0;
+  for (const StreamConfig& config : AllStreamConfigs()) {
+    for (uint64_t seed : {1, 2}) {
+      auto video = SyntheticVideo::Create(config, seed, 600).value();
+      for (int64_t t = 0; t < video->num_frames(); t += 3) {
+        video->RenderFrameRegionInto(t, Rect{0, 0, 1, 1}, 32, 32, &img);
+        ExpectSerialMeans(img, config.name + " frame " + std::to_string(t));
+        double sums[3];
+        lane_sums += raster::SumChannels(img.data().data(), 32 * 32, sums);
+        ++frames;
+      }
+    }
+  }
+  if (CpuHasAvx512()) {
+    EXPECT_GE(lane_sums, frames * 9 / 10) << lane_sums << " of " << frames;
+  } else {
+    EXPECT_EQ(lane_sums, 0);
+  }
+}
+
+// Images the lane sums must refuse: a value in (0, 2^-19), below the
+// exactness floor of a 1024-pixel image; a value above 1; a NaN; and an
+// odd pixel count, which the 16-pixel step does not divide. Each takes the
+// serial loop and still matches it.
+TEST(ImageTest, MeanChannelsFallBackToSerialSums) {
+  Rng rng(47);
+  auto filled = [&](int w, int h) {
+    Image img(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        for (int c = 0; c < 3; ++c) {
+          img.Set(x, y, c, static_cast<float>(rng.Uniform(0.25, 1.0)));
+        }
+      }
+    }
+    return img;
+  };
+  struct Case {
+    const char* what;
+    int w, h;
+    float value;
+  };
+  const Case cases[] = {
+      {"tiny positive", 32, 32, std::ldexp(1.0f, -20)},
+      {"above one", 32, 32, 1.5f},
+      {"nan", 32, 32, std::numeric_limits<float>::quiet_NaN()},
+      {"odd pixel count", 33, 33, 0.5f},
+  };
+  for (const Case& k : cases) {
+    Image img = filled(k.w, k.h);
+    img.Set(k.w / 2, k.h / 3, 1, k.value);
+    ExpectSerialMeans(img, k.what);
+    double sums[3];
+    EXPECT_FALSE(raster::SumChannels(
+        img.data().data(), static_cast<size_t>(k.w) * k.h, sums))
+        << k.what;
+  }
+  // The control: the same image with in-range values takes the lanes on
+  // the AVX-512 tier.
+  Image ok = filled(32, 32);
+  ExpectSerialMeans(ok, "in range");
+  double sums[3];
+  EXPECT_EQ(raster::SumChannels(ok.data().data(), 32 * 32, sums),
+            CpuHasAvx512());
 }
 
 TEST(ImageTest, MeanChannelInRect) {

@@ -40,6 +40,14 @@ const InvarianceQuery kQueries[] = {
      "AND timestamp >= 10 AND timestamp <= 90",
      false},
     {"SELECT timestamp FROM taipei WHERE class = 'bird'", true},
+    // An ROI conjunct (the sketch refutes blocks whose cars all sit
+    // right of x = 0.3) and an area conjunct no car reaches (every block
+    // refuted). Full scans only: COUNT DISTINCT ignores both conjuncts.
+    {"SELECT timestamp FROM taipei WHERE class = 'car' AND xmax(mask) < 0.3",
+     false},
+    {"SELECT timestamp FROM taipei WHERE class = 'car' "
+     "AND area(mask) > 200000",
+     true},
     // Count-distinct: the tracker walk may skip class-free gaps.
     {"SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class = 'bus'", false},
     {"SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class = 'bird'", true},

@@ -254,34 +254,92 @@ TEST(SpecializedNNReferenceTest, InferenceMatchesNaiveModel) {
       exec::ThreadPool::ThreadsFromEnv());
 }
 
-// The trained weights, pinned by hash. Training renders features, runs
-// the GEMMs, the gradient accumulate and the SGD update, so a kernel that
-// changed one bit on any ISA tier would change the weights that stores
-// replay across machines. The hash was recorded with the scalar training
-// loops; it changes only with a kDerivedArtifactEpoch bump.
-TEST(SpecializedNNReferenceTest, TrainedWeightsArePinned) {
-  auto day =
-      SyntheticVideo::Create(TaipeiConfig(), kTrainDaySeed, 1500).value();
-  SimulatedDetector detector;
-  LabeledSet labels(day.get(), &detector, 0.5);
-  WeightRecordingCache cache;
-  SpecializedNNConfig cfg;
-  cfg.raster_width = 16;
-  cfg.raster_height = 16;
-  cfg.hidden_dims = {32};
-  cfg.cache = &cache;
-  auto nn = SpecializedNN::Train(*day, {labels.Counts(kCar)}, cfg).value();
-  ASSERT_EQ(nn.trained_frames(), 1500);
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a over the float bits
-  for (float w : cache.weights) {
+/// FNV-1a over the float bits of trained weights.
+uint64_t WeightsHash(const std::vector<float>& weights) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (float w : weights) {
     const uint32_t bits = std::bit_cast<uint32_t>(w);
     for (int byte = 0; byte < 4; ++byte) {
       hash ^= (bits >> (8 * byte)) & 0xffu;
       hash *= 0x100000001b3ULL;
     }
   }
-  EXPECT_EQ(cache.weights.size(), 32965u);
-  EXPECT_EQ(hash, 0xac47c7f00c01aefULL);
+  return hash;
+}
+
+// The trained weights, pinned by hash. Training renders features, runs
+// the GEMMs, the gradient accumulate and the SGD update, so a kernel that
+// changed one bit on any ISA tier would change the weights that stores
+// replay across machines. The hash was recorded with the scalar training
+// loops; it changes only with a kDerivedArtifactEpoch bump. Training
+// renders a chunk of four batches ahead of SGD on the pool, so the hash
+// must also hold at every pool size.
+TEST(SpecializedNNReferenceTest, TrainedWeightsArePinned) {
+  auto day =
+      SyntheticVideo::Create(TaipeiConfig(), kTrainDaySeed, 1500).value();
+  SimulatedDetector detector;
+  LabeledSet labels(day.get(), &detector, 0.5);
+  SpecializedNNConfig cfg;
+  cfg.raster_width = 16;
+  cfg.raster_height = 16;
+  cfg.hidden_dims = {32};
+  for (int threads : {1, 2, 4}) {
+    exec::ThreadPool::Instance().Reconfigure(threads);
+    WeightRecordingCache cache;
+    cfg.cache = &cache;
+    auto nn = SpecializedNN::Train(*day, {labels.Counts(kCar)}, cfg).value();
+    ASSERT_EQ(nn.trained_frames(), 1500);
+    EXPECT_EQ(cache.weights.size(), 32965u);
+    EXPECT_EQ(WeightsHash(cache.weights), 0xac47c7f00c01aefULL)
+        << "pool " << threads;
+  }
+  exec::ThreadPool::Instance().Reconfigure(
+      exec::ThreadPool::ThreadsFromEnv());
+}
+
+// Two-head models hold at pool 1, 2 and 4 the hashes the per-batch loop
+// before the chunked one produced: one with two hidden layers, and one
+// on a 40-frame day, shorter than one 64-row chunk.
+TEST(SpecializedNNReferenceTest, TwoHeadWeightsHoldAtEveryPoolSize) {
+  struct Case {
+    const char* what;
+    StreamConfig config;
+    int64_t frames;
+    std::vector<int> classes;
+    std::vector<int> hidden;
+    size_t params;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {"two heads", ArchieConfig(), 600, {kCar, kPerson}, {32, 16}, 33413u,
+       0x222fc9cfffedc4d0ULL},
+      {"short day", TaipeiConfig(), 40, {kCar, kBus}, {32}, 32899u,
+       0x06c10e9b6ccdd87fULL},
+  };
+  for (const Case& k : cases) {
+    auto day =
+        SyntheticVideo::Create(k.config, kTrainDaySeed, k.frames).value();
+    SimulatedDetector detector;
+    LabeledSet labels(day.get(), &detector, 0.5);
+    std::vector<std::vector<int>> heads;
+    for (int c : k.classes) heads.push_back(labels.Counts(c));
+    SpecializedNNConfig cfg;
+    cfg.raster_width = 16;
+    cfg.raster_height = 16;
+    cfg.hidden_dims = k.hidden;
+    for (int threads : {1, 2, 4}) {
+      exec::ThreadPool::Instance().Reconfigure(threads);
+      WeightRecordingCache cache;
+      cfg.cache = &cache;
+      auto nn = SpecializedNN::Train(*day, heads, cfg).value();
+      EXPECT_EQ(nn.trained_frames(), k.frames);
+      EXPECT_EQ(cache.weights.size(), k.params) << k.what;
+      EXPECT_EQ(WeightsHash(cache.weights), k.hash)
+          << k.what << " pool " << threads;
+    }
+  }
+  exec::ThreadPool::Instance().Reconfigure(
+      exec::ThreadPool::ThreadsFromEnv());
 }
 
 int64_t WeightsCacheHits() {
@@ -388,6 +446,10 @@ TEST_F(SpecializedNNTest, TrainRejectsBadInputs) {
   // Mismatched head lengths.
   EXPECT_FALSE(
       SpecializedNN::Train(*video_, {{0, 1}, {0}}, FastConfig()).ok());
+  // A batch size that cuts no batch.
+  SpecializedNNConfig no_batches = FastConfig();
+  no_batches.train.batch_size = 0;
+  EXPECT_FALSE(SpecializedNN::Train(*video_, {{0, 1, 2}}, no_batches).ok());
 }
 
 TEST_F(SpecializedNNTest, SingleHeadShapes) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/catalog.h"
 #include "detect/cached_detector.h"
 #include "detect/simulated_detector.h"
 #include "obs/metrics.h"
@@ -448,6 +449,53 @@ TEST_F(StorageTest, PersistentDetectorKeysBySceneNotSeed) {
     ExpectSameDetections(detector.Detect(*rialto, t),
                          inner.Detect(*rialto, t));
   }
+}
+
+TEST_F(StorageTest, CatalogFlushPublishesPendingDetections) {
+  // Detections a catalog stream computes wait in the store as pending
+  // records until VideoCatalog::FlushDetectionStore publishes them as one
+  // segment of the stream's detections namespace.
+  VideoCatalog catalog;
+  BLAZEIT_ASSERT_OK(catalog.EnableDetectionStore(dir_));
+  BLAZEIT_ASSERT_OK(catalog.AddStream(TaipeiConfig(),
+                                      testutil::SmallDays(100, 100, 200)));
+  StreamData* stream = catalog.GetStream("taipei").value();
+  DetectionStore* store = catalog.detection_store();
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(store->PerNamespaceStats().empty());
+  for (int64_t t = 0; t < 50; ++t) {
+    stream->detector->Detect(*stream->test_day, t);
+  }
+  auto stats_of = [&](uint64_t ns) {
+    for (const DetectionStore::NamespaceStats& stats :
+         store->PerNamespaceStats()) {
+      if (stats.ns == ns) return stats;
+    }
+    ADD_FAILURE() << "no stats for namespace " << ns;
+    return DetectionStore::NamespaceStats{};
+  };
+
+  ASSERT_EQ(store->PerNamespaceStats().size(), 1u);
+  DetectionStore::NamespaceStats before = stats_of(stream->test_detections_ns);
+  EXPECT_EQ(before.segments, 0);
+  EXPECT_EQ(before.pending, 50);
+  EXPECT_EQ(before.records, 50);
+  EXPECT_EQ(before.shadowed, 0);
+  EXPECT_EQ(store->pending_records(), 50);
+
+  BLAZEIT_ASSERT_OK(catalog.FlushDetectionStore());
+  ASSERT_EQ(store->PerNamespaceStats().size(), 1u);
+  DetectionStore::NamespaceStats after = stats_of(stream->test_detections_ns);
+  EXPECT_EQ(after.segments, 1);
+  EXPECT_EQ(after.pending, 0);
+  EXPECT_EQ(after.records, 50);
+  EXPECT_EQ(after.shadowed, 0);
+  EXPECT_EQ(after.repair_generation, before.repair_generation);
+  EXPECT_EQ(store->pending_records(), 0);
+
+  // A second flush has nothing to publish.
+  BLAZEIT_ASSERT_OK(catalog.FlushDetectionStore());
+  EXPECT_EQ(stats_of(stream->test_detections_ns).segments, 1);
 }
 
 TEST_F(StorageTest, CompactMergesSegmentsAndDropsShadowedDuplicates) {

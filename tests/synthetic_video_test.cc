@@ -1,6 +1,7 @@
 #include "video/synthetic_video.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,33 @@ TEST(SyntheticVideoTest, RenderIntoScratchMatchesAllocatingRender) {
     ASSERT_EQ(scratch.height(), h);
     ASSERT_EQ(fresh.data(), scratch.data()) << w << "x" << h;
     frame += 97;
+  }
+}
+
+TEST(SyntheticVideoTest, NoiseSeedsMatchPerFrameSeeds) {
+  // A render run computes its frames' noise seeds in one batch. Each must
+  // equal the historical per-frame seed, the first draw of an engine
+  // seeded from (day seed, frame), and rendering with it must equal the
+  // render that derives the seed itself. The run has repeats, is out of
+  // order and has a short last group of eight.
+  constexpr uint64_t kSeed = 7;
+  auto video = SyntheticVideo::Create(SmallConfig(), kSeed, 500).value();
+  const std::vector<int64_t> frames = {499, 0, 17, 17, 250, 3, 4,
+                                       5,   6, 7,  8,  9,   10};
+  std::vector<uint64_t> seeds(frames.size());
+  video->NoiseSeeds(frames.data(), frames.size(), seeds.data());
+  Image derived;
+  Image given;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const uint64_t frame = static_cast<uint64_t>(frames[i]);
+    Rng historical(HashCombine(kSeed, HashCombine(0xf00d, frame)));
+    EXPECT_EQ(seeds[i], historical.engine()()) << "frame " << frame;
+    EXPECT_EQ(seeds[i], video->NoiseSeed(frames[i])) << "frame " << frame;
+    video->RenderFrameRegionInto(frames[i], Rect{0, 0, 1, 1}, 32, 32,
+                                 &derived);
+    video->RenderFrameRegionInto(frames[i], Rect{0, 0, 1, 1}, 32, 32,
+                                 seeds[i], &given);
+    ASSERT_EQ(derived.data(), given.data()) << "frame " << frame;
   }
 }
 

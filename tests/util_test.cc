@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -34,6 +35,60 @@ TEST(RngTest, Mt19937FirstDrawMatchesStdEngine) {
     std::mt19937_64 engine(seed);
     ASSERT_EQ(Mt19937_64FirstDraw(seed), engine()) << "seed " << seed;
   }
+}
+
+// The batched first draws behind the renderer's per-run noise seeds:
+// equal to Mt19937_64FirstDraw seed by seed, in place and out of place,
+// on full eight-lane groups and on every short last group. util_test runs
+// in the native, _avx2 and _scalar lanes, so the AVX-512 chains (on hosts
+// that have them) and the interleaved scalar ones are both pinned.
+TEST(RngTest, FirstDrawsMatchFirstDraw) {
+  std::mt19937_64 meta(23);
+  std::vector<uint64_t> seeds(10000);
+  for (uint64_t& seed : seeds) seed = meta();
+  seeds[0] = 0;
+  seeds[1] = ~uint64_t{0};
+  std::vector<uint64_t> got(seeds.size());
+  Mt19937_64FirstDraws(seeds.data(), seeds.size(), got.data());
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    ASSERT_EQ(got[i], Mt19937_64FirstDraw(seeds[i])) << "seed " << seeds[i];
+  }
+  for (size_t n = 1; n <= 17; ++n) {
+    for (size_t offset : {size_t{0}, size_t{3}, size_t{9990 - n}}) {
+      std::vector<uint64_t> run(seeds.begin() + static_cast<long>(offset),
+                                seeds.begin() + static_cast<long>(offset + n));
+      Mt19937_64FirstDraws(run.data(), n, run.data());  // in place
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(run[i], Mt19937_64FirstDraw(seeds[offset + i]))
+            << "run " << n << " offset " << offset << " index " << i;
+      }
+    }
+  }
+}
+
+// Slice-by-8 CRC against the bytewise loop it replaced, at every length
+// up to 600 bytes (so every 8-byte step count and every 0-7 byte tail)
+// and nine start alignments, from the initial state and from a running
+// one; and the standard check value for "123456789" on both paths.
+TEST(Crc32Test, SliceBy8MatchesBytewiseLoop) {
+  std::mt19937_64 bytes(5);
+  std::vector<unsigned char> buffer(600 + 9);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(bytes());
+  for (size_t align = 0; align < 9; ++align) {
+    const unsigned char* p = buffer.data() + align;
+    for (size_t len = 0; len <= 600; ++len) {
+      ASSERT_EQ(Crc32Update(kCrc32Init, p, len),
+                Crc32UpdateBytewise(kCrc32Init, p, len))
+          << "len " << len << " align " << align;
+      ASSERT_EQ(Crc32Update(0x12345678u, p, len),
+                Crc32UpdateBytewise(0x12345678u, p, len))
+          << "len " << len << " align " << align;
+    }
+  }
+  const char msg[] = "123456789";
+  EXPECT_EQ(Crc32(msg, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32Finalize(Crc32UpdateBytewise(kCrc32Init, msg, 9)),
+            0xCBF43926u);
 }
 
 // The block-refilled engine must reproduce std::mt19937_64 word for
