@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "core/aggregation.h"
 #include "stats/control_variates.h"
-#include "stats/online_stats.h"
 #include "stats/sampler.h"
 
 int main() {
@@ -44,14 +43,9 @@ int main() {
     const std::vector<int>& truth = s->test_labels->Counts(row.class_id);
     const int64_t n = s->test_day->num_frames();
     // Exact proxy moments.
-    OnlineStats proxy_stats;
-    for (float v : proxy_counts) proxy_stats.Add(v);
-    ControlVariate cv;
-    cv.tau = proxy_stats.Mean();
-    cv.variance = proxy_stats.PopulationVariance();
-    cv.proxy = [&](int64_t f) {
+    const ControlVariate cv = MakeControlVariate(n, [&](int64_t f) {
       return static_cast<double>(proxy_counts[static_cast<size_t>(f)]);
-    };
+    });
     double value_range = s->train_labels->MaxCount(row.class_id) + 1.0;
 
     std::printf("\n%s (%s), NN/detector correlation %.3f:\n", row.stream,

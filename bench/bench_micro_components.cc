@@ -329,8 +329,8 @@ BENCHMARK(BM_RngDetectorLifecycle);
 // ---------------------------------------------------------------------------
 // Thread-count axes (PR 4): the sharded frame pipeline and batched NN
 // inference at pool sizes 1/2/4/8. On a multi-core machine these are the
-// scaling benches BENCH_pr4.json records (expect near-linear on the
-// render-bound sweep); on a single core they pin the overhead of the
+// scaling benches (expect near-linear on the render-bound sweep); on a
+// single core they pin the overhead of the
 // sharding machinery at ~zero. Outputs are bit-identical across the axis
 // — only wall clock may move.
 // ---------------------------------------------------------------------------

@@ -11,6 +11,16 @@
 
 namespace blazeit {
 
+namespace {
+
+/// Minimum number of positive training frames for specialization (the
+/// "sufficient training data" test of Algorithm 1).
+constexpr int64_t kMinPositiveExamples = 50;
+/// Resamples of the held-out error bootstrap.
+constexpr int kBootstrapResamples = 200;
+
+}  // namespace
+
 const char* AggregateMethodName(AggregateMethod method) {
   switch (method) {
     case AggregateMethod::kQueryRewrite:
@@ -58,7 +68,7 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
   for (int c : train_counts) {
     if (c > 0) ++positives;
   }
-  if (positives < options_.min_positive_examples) {
+  if (positives < kMinPositiveExamples) {
     BLAZEIT_LOG(kDebug) << "insufficient training data for class "
                         << ClassName(class_id) << " (" << positives
                         << " positive frames); defaulting to AQP";
@@ -94,7 +104,7 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
     meter.ChargeSpecializedNN(held_out.num_frames());
     meter.ChargeThresholding(held_out.num_frames());
     auto boot = BootstrapAbsError(predicted, truth, confidence,
-                                  options_.bootstrap_resamples,
+                                  kBootstrapResamples,
                                   HashCombine(options_.seed, 0xbbbb));
     BLAZEIT_RETURN_NOT_OK(boot.status());
     nn_bootstrap_ = boot.value();
@@ -133,26 +143,15 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
     return result;
   }
 
-  if (!options_.allow_control_variates) {
-    return RunPlainAqp(class_id, error, confidence, window, meter);
-  }
-
   // --- control variates: NN as the cheap correlated auxiliary ---
   obs::TraceSpan estimate_span(trace_, "estimate:control-variates", &meter);
   // Sampler indices are window-relative: index i means test frame
   // window.begin + i, so the proxy/oracle pair stays aligned with
   // nn_counts_ (which holds only window frames).
   const std::vector<int>& test_truth = stream_->test_labels->Counts(class_id);
-  ControlVariate cv;
-  {
-    OnlineStats proxy_stats;
-    for (float v : nn_counts_) proxy_stats.Add(v);
-    cv.tau = proxy_stats.Mean();
-    cv.variance = proxy_stats.PopulationVariance();
-  }
-  cv.proxy = [this](int64_t frame) {
+  const ControlVariate cv = MakeControlVariate(n_window, [this](int64_t frame) {
     return static_cast<double>(nn_counts_[static_cast<size_t>(frame)]);
-  };
+  });
   CostMeter* meter_ptr = &meter;
   const int64_t window_begin = window.begin;
   FrameOracle oracle = [&test_truth, meter_ptr, window_begin](int64_t frame) {
@@ -165,7 +164,6 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
   sampling.confidence = confidence;
   sampling.value_range =
       static_cast<double>(stream_->train_labels->MaxCount(class_id)) + 1.0;
-  sampling.growth = options_.growth;
   sampling.seed = HashCombine(options_.seed, 0xcccc);
   auto estimate = ControlVariateSample(n_window, oracle, cv, sampling);
   BLAZEIT_RETURN_NOT_OK(estimate.status());
@@ -206,7 +204,6 @@ Result<AggregateResult> AggregationExecutor::RunPlainAqp(int class_id,
   sampling.confidence = confidence;
   sampling.value_range =
       static_cast<double>(stream_->train_labels->MaxCount(class_id)) + 1.0;
-  sampling.growth = options_.growth;
   sampling.seed = HashCombine(options_.seed, 0xdddd);
   auto estimate =
       AdaptiveSample(window.end - window.begin, oracle, sampling);

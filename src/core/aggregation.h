@@ -28,15 +28,9 @@ const char* AggregateMethodName(AggregateMethod method);
 
 struct AggregateOptions {
   SpecializedNNConfig nn;
-  /// Sample-size growth per adaptive round.
-  double growth = 0.2;
-  int bootstrap_resamples = 200;
-  /// Minimum number of positive training frames for specialization
-  /// ("sufficient training data" test of Algorithm 1).
-  int64_t min_positive_examples = 50;
-  /// Ablation knobs for the Section 10.2 comparisons.
+  /// Ablation knob for the Section 10.2 comparisons (Figure 5 forces the
+  /// sampling path with it).
   bool allow_query_rewrite = true;
-  bool allow_control_variates = true;
   uint64_t seed = 1;
 };
 

@@ -37,6 +37,49 @@ SketchProbe ProbeForQuery(const StreamData& stream,
   return probe;
 }
 
+/// The WHERE conjuncts that the plans of one query kind evaluate, beyond
+/// class and timestamp, which every plan does. Analysis folds ROI, area
+/// and content-UDF conjuncts into every query, so a kind whose plans skip
+/// one would answer a different query than was asked.
+struct EvaluatedConjuncts {
+  bool roi, area, udf;
+};
+
+EvaluatedConjuncts EvaluatedConjunctsFor(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kSelection:
+      return {.roi = true, .area = true, .udf = true};
+    case QueryKind::kExhaustive:
+      return {.roi = true, .area = true, .udf = false};
+    case QueryKind::kAggregate:
+    case QueryKind::kCountDistinct:
+    case QueryKind::kScrubbing:
+    case QueryKind::kBinarySelect:
+      break;
+  }
+  return {.roi = false, .area = false, .udf = false};
+}
+
+/// Unimplemented, naming the conjunct, when `query` carries a WHERE
+/// conjunct that its kind's plans would drop.
+Status RefuseDroppedConjuncts(const AnalyzedQuery& query) {
+  const EvaluatedConjuncts evaluated = EvaluatedConjunctsFor(query.kind);
+  for (const Predicate& pred : query.raw.where) {
+    const bool dropped =
+        (pred.kind == Predicate::Kind::kSpatial && !evaluated.roi) ||
+        (pred.kind == Predicate::Kind::kArea && !evaluated.area) ||
+        (pred.kind == Predicate::Kind::kUdf && !evaluated.udf) ||
+        // No plan evaluates string-valued UDFs (classify(content) = 'x').
+        pred.kind == Predicate::Kind::kUdfString;
+    if (dropped) {
+      return Status::Unimplemented(
+          StrFormat("%s queries do not evaluate the conjunct '%s'",
+                    QueryKindName(query.kind), pred.ToString().c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
@@ -106,6 +149,7 @@ Result<PreparedQuery> BlazeItEngine::Prepare(const std::string& frameql,
                              catalog_->GetStream(parsed.table));
     BLAZEIT_ASSIGN_OR_RETURN(
         prepared.query, AnalyzeQuery(parsed, prepared.stream->config));
+    BLAZEIT_RETURN_NOT_OK(RefuseDroppedConjuncts(prepared.query));
   }
   prepared.correlation_id = obs::FlightRecorder::NextCorrelationId();
   return prepared;
@@ -400,18 +444,8 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
   out.kind = query.kind;
   out.plan = PlanKind::kFullScan;
   // The scan is exhaustive, not unconditional: every analyzed predicate
-  // still restricts the result. Content UDFs are the one thing this plan
-  // does not evaluate — refuse them loudly rather than silently dropping
-  // the conjunct (the selection and scrubbing plans cover those queries).
-  for (const Predicate& pred : query.udf_predicates) {
-    if (pred.kind == Predicate::Kind::kUdf ||
-        pred.kind == Predicate::Kind::kUdfString) {
-      return Status::Unimplemented(
-          "exhaustive scans do not evaluate content UDF predicates; use "
-          "SELECT * with a class predicate (selection) or add a LIMIT "
-          "(scrubbing)");
-    }
-  }
+  // still restricts the result (Prepare has refused the content UDFs this
+  // plan does not evaluate).
   BLAZEIT_ASSIGN_OR_RETURN(
       FrameWindow window,
       ResolveFrameWindow(query, stream->config.fps,

@@ -99,8 +99,10 @@ class BlazeItEngine {
   /// Parses, optimizes, and executes one FrameQL query.
   Result<QueryOutput> Execute(const std::string& frameql);
 
-  /// Parses, binds, and analyzes one query without executing it. `trace`
-  /// (nullable) records the parse/analyze spans. Thread-safe: the catalog
+  /// Parses, binds, and analyzes one query without executing it. A WHERE
+  /// conjunct that the query kind's plans do not evaluate (say, an ROI on
+  /// an aggregate) is refused with Unimplemented naming it, rather than
+  /// silently dropped. `trace` (nullable) records the parse/analyze spans. Thread-safe: the catalog
   /// is read-only after setup, so concurrent Prepare calls (the serving
   /// layer prepares at admission time) never race.
   Result<PreparedQuery> Prepare(const std::string& frameql,

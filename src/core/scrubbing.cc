@@ -151,7 +151,6 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     return Status::InvalidArgument("scrubbing needs at least one class");
   if (limit <= 0) return Status::InvalidArgument("limit must be positive");
   window = ClampFrameWindow(window, stream_->test_day->num_frames());
-  confidences_.clear();
   if (window.end <= window.begin) {
     // Range entirely past the recorded day: zero frames match; return
     // empty (and free) rather than training an NN to discover that.
@@ -228,7 +227,7 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   meter.ChargeTraining(nn.trained_frames());
 
   // --- score the unseen frames and rank by confidence ---
-  // Indices below are positions in test_frames, so confidences_ lines up
+  // Indices below are positions in test_frames, so confidences lines up
   // with test_frames. When pruning applies, the sweep covers only the
   // sketch candidates: a refuted frame provably fails the requirements,
   // so in the unindexed walk it would charge a detector call and change
@@ -246,17 +245,19 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     test_frames.resize(static_cast<size_t>(window.end - window.begin));
     std::iota(test_frames.begin(), test_frames.end(), window.begin);
   }
+  std::vector<float> confidences;
   {
     obs::TraceSpan span(trace_, "sweep", &meter);
-    confidences_ = nn.QueryConfidencesForFrames(test, test_frames, min_counts);
+    confidences = nn.QueryConfidencesForFrames(test, test_frames, min_counts);
     meter.ChargeSpecializedNN(static_cast<int64_t>(test_frames.size()));
   }
   std::vector<int64_t> order(test_frames.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](int64_t a, int64_t b) {
-    return confidences_[static_cast<size_t>(a)] >
-           confidences_[static_cast<size_t>(b)];
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&confidences](int64_t a, int64_t b) {
+                     return confidences[static_cast<size_t>(a)] >
+                            confidences[static_cast<size_t>(b)];
+                   });
 
   // --- verify candidates with the full detector, best-first ---
   obs::TraceSpan verify_span(trace_, "verify", &meter);

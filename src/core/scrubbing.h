@@ -85,12 +85,6 @@ class ScrubbingExecutor {
                            int64_t limit, int64_t gap,
                            FrameWindow window = FrameWindow{});
 
-  /// Confidence scores over the last Run's scored frames in ascending
-  /// frame order — the whole window, or only the sketch-candidate frames
-  /// when index pruning restricted the sweep (empty if the executor fell
-  /// back to a scan); used by benchmarks.
-  const std::vector<float>& confidences() const { return confidences_; }
-
  private:
   /// Scan's walk over already-consulted candidate ranges (ascending).
   ScrubResult ScanRanges(const std::vector<ClassCountRequirement>& reqs,
@@ -101,7 +95,6 @@ class ScrubbingExecutor {
   ArtifactCache* cache_;
   ScrubOptions options_;
   obs::QueryTrace* trace_;
-  std::vector<float> confidences_;
 };
 
 /// True if the frame's per-class counts satisfy every requirement.

@@ -179,8 +179,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
       ContentFilter candidate(udf.value(), cache_,
                               udfs_->FingerprintFor(pred.name));
       auto calib = CalibrateNoFalseNegatives(
-          candidate.ScoreBatch(held, held_frames), predicate_positive,
-          options_.calibration_margin);
+          candidate.ScoreBatch(held, held_frames), predicate_positive);
       if (!calib.ok()) {
         BLAZEIT_LOG(kDebug) << "content filter '" << pred.name
                             << "' skipped: " << calib.status().ToString();
@@ -231,8 +230,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
       }
       auto calib = CalibrateNoFalseNegatives(
           PresenceScores(trained.value(), held, held_frames),
-          any_predicate_positive ? predicate_positive : class_positive,
-          options_.calibration_margin);
+          any_predicate_positive ? predicate_positive : class_positive);
       if (calib.ok()) {
         meter.ChargeSpecializedNN(held.num_frames());
         meter.ChargeThresholding(held.num_frames());

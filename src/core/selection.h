@@ -27,7 +27,6 @@ struct SelectionOptions {
   bool use_temporal_filter = true;
   bool use_spatial_filter = true;
   SpecializedNNConfig nn;
-  double calibration_margin = 0.05;
   uint64_t seed = 1;
 };
 

@@ -9,15 +9,6 @@ std::string Detection::ToString() const {
                    rect.ToString().c_str());
 }
 
-int CountClass(const std::vector<Detection>& detections, int class_id,
-               double score_threshold) {
-  int count = 0;
-  for (const Detection& det : detections) {
-    if (det.class_id == class_id && det.score >= score_threshold) ++count;
-  }
-  return count;
-}
-
 std::vector<Detection> FilterClass(const std::vector<Detection>& detections,
                                    int class_id, double score_threshold) {
   std::vector<Detection> out;

@@ -24,10 +24,6 @@ struct Detection {
   std::string ToString() const;
 };
 
-/// Number of detections of `class_id` at or above the score threshold.
-int CountClass(const std::vector<Detection>& detections, int class_id,
-               double score_threshold);
-
 /// Detections of `class_id` at or above the threshold, in input order.
 std::vector<Detection> FilterClass(const std::vector<Detection>& detections,
                                    int class_id, double score_threshold);

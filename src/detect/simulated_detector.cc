@@ -8,8 +8,10 @@
 namespace blazeit {
 
 uint64_t SimulatedDetector::ParamsFingerprint() const {
-  // Every DetectorNoiseConfig knob plus fill_features changes the output
-  // stream, so all of them are part of the cache identity.
+  // Every DetectorNoiseConfig knob changes the output stream, so all of
+  // them are part of the cache identity. The trailing constant is part of
+  // the stored key format: dropping it would re-key every stored
+  // detections namespace.
   return Fingerprint()
       .Mix(name_)
       .Mix(config_.miss_rate_small)
@@ -19,7 +21,7 @@ uint64_t SimulatedDetector::ParamsFingerprint() const {
       .Mix(config_.false_positive_max_score)
       .Mix(config_.score_noise)
       .Mix(config_.salt)
-      .Mix(fill_features_)
+      .Mix(false)
       .value();
 }
 
@@ -30,7 +32,6 @@ std::vector<Detection> SimulatedDetector::Detect(const SyntheticVideo& video,
   // never on call order, so Detect is a pure function.
   Rng rng(HashCombine(HashCombine(video.seed(), config_.salt),
                       static_cast<uint64_t>(frame)));
-  Image rendered;  // lazily rendered only if features are requested
 
   for (const GroundTruthObject& obj : video.GroundTruth(frame)) {
     double area = obj.rect.Area();
@@ -50,13 +51,6 @@ std::vector<Detection> SimulatedDetector::Detect(const SyntheticVideo& video,
     double base_score = 0.95 - 0.5 * miss_prob;
     det.score = std::clamp(
         base_score + rng.Normal(0, config_.score_noise), 0.0, 1.0);
-    if (fill_features_) {
-      if (rendered.Empty()) rendered = video.RenderFrame(frame, 32, 32);
-      det.features = {
-          static_cast<float>(rendered.MeanChannelInRect(0, det.rect)),
-          static_cast<float>(rendered.MeanChannelInRect(1, det.rect)),
-          static_cast<float>(rendered.MeanChannelInRect(2, det.rect))};
-    }
     out.push_back(det);
   }
 

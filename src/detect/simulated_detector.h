@@ -52,16 +52,9 @@ class SimulatedDetector : public ObjectDetector {
 
   uint64_t ParamsFingerprint() const override;
 
-  const DetectorNoiseConfig& noise_config() const { return config_; }
-
-  /// Fill the `features` field of detections (mean box color from the
-  /// rendered frame). Off by default: rendering costs real CPU.
-  void set_fill_features(bool fill) { fill_features_ = fill; }
-
  private:
   DetectorNoiseConfig config_;
   std::string name_;
-  bool fill_features_ = false;
 };
 
 }  // namespace blazeit

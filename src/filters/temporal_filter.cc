@@ -31,10 +31,4 @@ std::vector<int64_t> TemporalFilter::CandidateFrames(
   return out;
 }
 
-double TemporalFilter::Selectivity(int64_t num_frames) const {
-  if (num_frames <= 0) return 0.0;
-  return static_cast<double>(CandidateFrames(num_frames).size()) /
-         static_cast<double>(num_frames);
-}
-
 }  // namespace blazeit

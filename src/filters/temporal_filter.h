@@ -34,9 +34,6 @@ class TemporalFilter {
   /// restrictions.
   std::vector<int64_t> CandidateFrames(int64_t num_frames) const;
 
-  /// Fraction of the video surviving the filter (for plan costing).
-  double Selectivity(int64_t num_frames) const;
-
  private:
   int64_t stride_ = 1;
   int64_t begin_frame_ = 0;

@@ -140,7 +140,9 @@ uint64_t TrainFingerprint(const SyntheticVideo& train_day,
       .Mix(config.train.momentum)
       .Mix(config.train.seed)
       .Mix(config.max_train_frames)
-      .Mix(config.min_classes);
+      // A constant of the stored key format: dropping it would re-key
+      // every stored weights blob and NN output.
+      .Mix(0);
   fp.Mix(static_cast<uint64_t>(head_labels.size()));
   for (const std::vector<int>& labels : head_labels) fp.MixRange(labels);
   return fp.value();
@@ -195,13 +197,7 @@ Result<SpecializedNN> SpecializedNN::Train(
     sub.reserve(indices.size());
     for (int64_t idx : indices)
       sub.push_back(head_labels[h][static_cast<size_t>(idx)]);
-    int classes = ChooseNumClasses(sub);
-    if (config.min_classes > classes) {
-      int max_label = 0;
-      for (int c : sub) max_label = std::max(max_label, c);
-      classes = std::min(config.min_classes, max_label + 1);
-      classes = std::max(classes, 1);
-    }
+    const int classes = ChooseNumClasses(sub);
     impl->head_classes.push_back(classes);
     for (int& c : sub) c = std::clamp(c, 0, classes - 1);
     clamped[h] = std::move(sub);

@@ -36,12 +36,6 @@ struct SpecializedNNConfig {
   /// Cap on the number of labeled frames used for training (subsampled
   /// evenly if the labeled day is longer).
   int64_t max_train_frames = 30000;
-  /// Lower bound on the per-head class count (still capped by the highest
-  /// label observed + 1). Scrubbing raises this to min_count + 1 so that
-  /// P(count >= N) is represented directly instead of clamping N into the
-  /// 1%-rule range, which is what makes the confidence ranking sharp
-  /// enough to find rare events.
-  int min_classes = 0;
   /// Optional persistent cache for trained weights and per-frame outputs
   /// (not owned; must outlive any NN trained with this config). Training
   /// and inference are deterministic per (day, labels, config), so cached

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "util/string_util.h"
@@ -42,14 +43,9 @@ std::string FlightRecord::ToJson() const {
 }
 
 FlightRecorder::FlightRecorder(Options options) : options_(options) {
-  if (options_.shards < 1) options_.shards = 1;
-  if (options_.capacity < options_.shards) options_.capacity = options_.shards;
+  if (options_.capacity < 1) options_.capacity = 1;
   if (options_.slowest_k < 0) options_.slowest_k = 0;
-  per_shard_ = options_.capacity / options_.shards;
-  shards_ = std::make_unique<Shard[]>(static_cast<size_t>(options_.shards));
-  for (int s = 0; s < options_.shards; ++s) {
-    shards_[s].ring.resize(static_cast<size_t>(per_shard_));
-  }
+  ring_.resize(static_cast<size_t>(options_.capacity));
   slowest_.reserve(static_cast<size_t>(options_.slowest_k));
 }
 
@@ -64,36 +60,35 @@ int64_t FlightRecorder::NextCorrelationId() {
 }
 
 void FlightRecorder::Record(FlightRecord record) {
-  const int64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed);
-  record.sequence = seq;
-  total_.fetch_add(1, std::memory_order_relaxed);
+  util::MutexLock lock(mu_);
+  record.sequence = recorded_++;
 
   if (options_.slowest_k > 0) {
-    util::MutexLock lock(slowest_mu_);
     if (static_cast<int64_t>(slowest_.size()) < options_.slowest_k) {
       slowest_.push_back(record);
       std::push_heap(slowest_.begin(), slowest_.end(), SlowerThan);
-    } else if (!slowest_.empty() && record.wall_ms > slowest_[0].wall_ms) {
+    } else if (record.wall_ms > slowest_[0].wall_ms) {
       std::pop_heap(slowest_.begin(), slowest_.end(), SlowerThan);
       slowest_.back() = record;
       std::push_heap(slowest_.begin(), slowest_.end(), SlowerThan);
     }
   }
 
-  Shard& shard = shards_[static_cast<size_t>(seq % options_.shards)];
-  const size_t slot =
-      static_cast<size_t>((seq / options_.shards) % per_shard_);
-  util::MutexLock lock(shard.mu);
-  shard.ring[slot] = std::move(record);
+  ring_[static_cast<size_t>(record.sequence % options_.capacity)] =
+      std::move(record);
+}
+
+int64_t FlightRecorder::total_recorded() const {
+  util::MutexLock lock(mu_);
+  return recorded_;
 }
 
 std::vector<FlightRecord> FlightRecorder::Snapshot() const {
   std::vector<FlightRecord> out;
   out.reserve(static_cast<size_t>(options_.capacity));
-  for (int s = 0; s < options_.shards; ++s) {
-    const Shard& shard = shards_[static_cast<size_t>(s)];
-    util::MutexLock lock(shard.mu);
-    for (const FlightRecord& record : shard.ring) {
+  {
+    util::MutexLock lock(mu_);
+    for (const FlightRecord& record : ring_) {
       if (record.sequence >= 0) out.push_back(record);
     }
   }
@@ -107,7 +102,7 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
 std::vector<FlightRecord> FlightRecorder::SlowestSnapshot() const {
   std::vector<FlightRecord> out;
   {
-    util::MutexLock lock(slowest_mu_);
+    util::MutexLock lock(mu_);
     out = slowest_;
   }
   std::sort(out.begin(), out.end(),

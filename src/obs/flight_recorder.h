@@ -1,7 +1,6 @@
 #ifndef BLAZEIT_OBS_FLIGHT_RECORDER_H_
 #define BLAZEIT_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,27 +43,25 @@ struct FlightRecord {
   std::string ToJson() const;
 };
 
-/// Always-on flight recorder behind /tracez: a fixed-capacity,
-/// mutex-sharded ring buffer retaining the last `capacity` completed
-/// queries, plus a separate "slowest K" reservoir keyed by wall time so
-/// a burst of fast queries cannot evict the interesting outliers.
+/// Always-on flight recorder behind /tracez: a fixed-capacity ring
+/// buffer retaining the last `capacity` completed queries, plus a
+/// separate "slowest K" reservoir keyed by wall time so a burst of fast
+/// queries cannot evict the interesting outliers.
 ///
-/// Record() is O(1) — an atomic sequence fetch_add, one shard mutex, one
-/// slot overwrite — and memory is bounded at construction, so the
-/// recorder stays on in serving mode. It only *observes* completed
-/// queries (outputs and simulated costs never flow through it), which is
-/// what keeps every determinism suite bit-identical with it running.
+/// Record() is O(log K) under one mutex — a sequence increment, one slot
+/// overwrite, at most one reservoir heap update — and memory is bounded
+/// at construction, so the recorder stays on in serving mode (it sees
+/// one Record per completed query). It only *observes* completed queries
+/// (outputs and simulated costs never flow through it), which is what
+/// keeps every determinism suite bit-identical with it running.
 ///
-/// Thread-safe: Record and the snapshot calls may race freely; snapshots
-/// lock shards one at a time, so they are point-in-time per shard, not
-/// globally atomic — fine for a debug endpoint.
+/// Thread-safe: Record and the snapshot calls may race freely; each
+/// snapshot is taken under the mutex, so it is point-in-time.
 class FlightRecorder {
  public:
   struct Options {
-    /// Total retained completed queries across all shards.
+    /// Retained completed queries (clamped to at least 1).
     int64_t capacity = 256;
-    /// Mutex shards; records land on shard (sequence % shards).
-    int shards = 8;
     /// Slowest-by-wall-time reservoir size.
     int64_t slowest_k = 16;
   };
@@ -89,30 +86,22 @@ class FlightRecorder {
   std::vector<FlightRecord> SlowestSnapshot() const;
 
   /// Lifetime count of Record() calls (>= retained count).
-  int64_t total_recorded() const {
-    return total_.load(std::memory_order_relaxed);
-  }
+  int64_t total_recorded() const;
   const Options& options() const { return options_; }
 
   /// {"total_recorded":N,"capacity":N,"recent":[...],"slowest":[...]}
   std::string ToJson() const;
 
  private:
-  struct Shard {
-    mutable util::Mutex mu;
-    std::vector<FlightRecord> ring
-        BLAZEIT_GUARDED_BY(mu);  // per-shard slots, overwrite in place
-  };
-
   Options options_;
-  int64_t per_shard_ = 0;
-  std::atomic<int64_t> sequence_{0};
-  std::atomic<int64_t> total_{0};
-  std::unique_ptr<Shard[]> shards_;
 
-  mutable util::Mutex slowest_mu_;
+  mutable util::Mutex mu_;
+  /// Records so far; the next Record() takes this as its sequence.
+  int64_t recorded_ BLAZEIT_GUARDED_BY(mu_) = 0;
+  /// Slot (sequence % capacity) holds that record; overwritten in place.
+  std::vector<FlightRecord> ring_ BLAZEIT_GUARDED_BY(mu_);
   /// Min-heap by wall_ms (front = fastest of the retained slow set).
-  std::vector<FlightRecord> slowest_ BLAZEIT_GUARDED_BY(slowest_mu_);
+  std::vector<FlightRecord> slowest_ BLAZEIT_GUARDED_BY(mu_);
 };
 
 }  // namespace obs

@@ -11,16 +11,6 @@
 
 namespace blazeit {
 
-namespace {
-
-double Fpc(int64_t n, int64_t population) {
-  if (population <= 1 || n >= population) return 0.0;
-  return std::sqrt(static_cast<double>(population - n) /
-                   static_cast<double>(population - 1));
-}
-
-}  // namespace
-
 ControlVariate MakeControlVariate(
     int64_t num_frames, std::function<double(int64_t frame)> proxy) {
   OnlineStats stats;
@@ -74,7 +64,7 @@ Result<SampleEstimate> ControlVariateSample(int64_t num_frames,
     }
     double stderr_n = std::sqrt(var_reduced /
                                 static_cast<double>(joint.count())) *
-                      Fpc(joint.count(), num_frames);
+                      FinitePopulationCorrection(joint.count(), num_frames);
     out.half_width = z * stderr_n;
     if (out.half_width < config.error || drawn >= num_frames) {
       out.estimate = joint.MeanX() + c * (joint.MeanY() - variate.tau);
@@ -83,7 +73,7 @@ Result<SampleEstimate> ControlVariateSample(int64_t num_frames,
       return out;
     }
     int64_t step = std::max<int64_t>(
-        1, static_cast<int64_t>(std::llround(config.growth * drawn)));
+        1, static_cast<int64_t>(std::llround(kSampleGrowth * drawn)));
     target = std::min(num_frames, drawn + step);
   }
 }

@@ -6,10 +6,6 @@
 
 namespace blazeit {
 
-double NormalPdf(double x) {
-  return std::exp(-0.5 * x * x) / std::sqrt(2.0 * std::numbers::pi);
-}
-
 double NormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::numbers::sqrt2);
 }

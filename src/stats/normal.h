@@ -3,9 +3,6 @@
 
 namespace blazeit {
 
-/// Standard normal probability density.
-double NormalPdf(double x);
-
 /// Standard normal cumulative distribution function.
 double NormalCdf(double x);
 

@@ -18,22 +18,14 @@ Status ValidateSamplingConfig(const SamplingConfig& config) {
     return Status::InvalidArgument("confidence must be in (0,1)");
   if (config.value_range <= 0.0)
     return Status::InvalidArgument("value_range must be positive");
-  if (config.growth <= 0.0)
-    return Status::InvalidArgument("growth must be positive");
   return Status::OK();
 }
 
-namespace {
-
-/// Finite-population correction factor for sampling n of N without
-/// replacement.
-double Fpc(int64_t n, int64_t population) {
+double FinitePopulationCorrection(int64_t n, int64_t population) {
   if (population <= 1 || n >= population) return 0.0;
   return std::sqrt(static_cast<double>(population - n) /
                    static_cast<double>(population - 1));
 }
-
-}  // namespace
 
 Result<SampleEstimate> AdaptiveSample(int64_t num_frames,
                                       const FrameOracle& oracle,
@@ -64,7 +56,7 @@ Result<SampleEstimate> AdaptiveSample(int64_t num_frames,
     }
     double stderr_n = stats.StdDev() /
                       std::sqrt(static_cast<double>(stats.count())) *
-                      Fpc(stats.count(), num_frames);
+                      FinitePopulationCorrection(stats.count(), num_frames);
     out.half_width = z * stderr_n;
     if (out.half_width < config.error || drawn >= num_frames) {
       out.estimate = stats.Mean();
@@ -74,7 +66,7 @@ Result<SampleEstimate> AdaptiveSample(int64_t num_frames,
     }
     // Linear growth per round.
     int64_t step = std::max<int64_t>(
-        1, static_cast<int64_t>(std::llround(config.growth * drawn)));
+        1, static_cast<int64_t>(std::llround(kSampleGrowth * drawn)));
     target = std::min(num_frames, drawn + step);
   }
 }

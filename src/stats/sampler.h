@@ -8,6 +8,10 @@
 
 namespace blazeit {
 
+/// Fractional sample-size growth per adaptive round (linear increase),
+/// shared by AdaptiveSample and ControlVariateSample.
+inline constexpr double kSampleGrowth = 0.2;
+
 /// Parameters of BlazeIt's adaptive sampling procedure (Section 6.1): an
 /// absolute error target at a confidence level, plus the range K of the
 /// estimated quantity, which sets the epsilon-net minimum sample size K/e.
@@ -18,8 +22,6 @@ struct SamplingConfig {
   double confidence = 0.95;
   /// Range of the estimated quantity (max per-frame count plus one).
   double value_range = 1.0;
-  /// Fractional sample-size growth per round (linear increase).
-  double growth = 0.2;
   uint64_t seed = 1;
 };
 
@@ -41,6 +43,10 @@ using FrameOracle = std::function<double(int64_t frame)>;
 
 /// Validates a sampling configuration.
 Status ValidateSamplingConfig(const SamplingConfig& config);
+
+/// Finite-population correction factor for sampling n of `population`
+/// frames without replacement (0 once the population is exhausted).
+double FinitePopulationCorrection(int64_t n, int64_t population);
 
 /// Adaptive mean estimation over frames [0, num_frames): samples without
 /// replacement, starting at K/e samples and growing linearly, terminating

@@ -141,7 +141,6 @@ Status StoreWriter::Append(int64_t frame, const std::string& payload) {
   }
   record_offsets_.emplace_back(frame, kStoreHeaderBytes + bytes_written_);
   bytes_written_ += scratch_.size();
-  ++records_written_;
   return Status::OK();
 }
 

@@ -34,7 +34,6 @@ class StoreWriter {
   Status Close();
 
   const std::string& path() const { return path_; }
-  int64_t records_written() const { return records_written_; }
   /// (frame, file offset) of every appended record, in append order — lets
   /// the store index a freshly written segment without re-reading it.
   const std::vector<std::pair<int64_t, uint64_t>>& record_offsets() const {
@@ -48,7 +47,6 @@ class StoreWriter {
   std::string path_;
   std::ofstream out_;
   std::string scratch_;
-  int64_t records_written_ = 0;
   uint64_t bytes_written_ = 0;
   std::vector<std::pair<int64_t, uint64_t>> record_offsets_;
 };

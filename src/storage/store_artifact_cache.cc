@@ -2,6 +2,7 @@
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace blazeit {
 

@@ -18,8 +18,9 @@ namespace blazeit {
 /// Epoch history:
 ///   2 — PR 3: renderer contract fix (lighting factor clamped to >= 0,
 ///       fill-site color clamp to [0,1]) and the two-pass Resize box
-///       filter. The vectorized raster/NN kernels themselves are
-///       bit-identical to the scalar paths and did not require a bump.
+///       filter (Resize has since been removed). The vectorized raster/NN
+///       kernels themselves are bit-identical to the scalar paths and did
+///       not require a bump.
 inline constexpr uint64_t kDerivedArtifactEpoch = 2;
 
 /// Cache interface for expensive derived per-frame artifacts: trained NN

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -259,26 +258,6 @@ bool Rng::Bernoulli(double p) {
 
 double Rng::LogNormal(double log_mean, double log_sigma) {
   return std::lognormal_distribution<double>(log_mean, log_sigma)(engine_);
-}
-
-std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
-  std::vector<int64_t> out;
-  if (n <= 0) return out;
-  if (k >= n) {
-    out.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) out[static_cast<size_t>(i)] = i;
-    return out;
-  }
-  // Floyd's algorithm: k draws, O(k) memory.
-  std::unordered_set<int64_t> seen;
-  seen.reserve(static_cast<size_t>(k));
-  for (int64_t j = n - k; j < n; ++j) {
-    int64_t t = UniformInt(0, j);
-    if (seen.count(t)) t = j;
-    seen.insert(t);
-    out.push_back(t);
-  }
-  return out;
 }
 
 uint64_t HashString(const std::string& s) {

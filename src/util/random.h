@@ -83,10 +83,6 @@ class Rng {
   /// underlying normal; used for object dwell-time distributions.
   double LogNormal(double log_mean, double log_sigma);
 
-  /// Samples `k` distinct indices uniformly from [0, n) (Floyd's algorithm);
-  /// if k >= n returns the full range.
-  std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
-
   Mt19937_64& engine() { return engine_; }
 
  private:

@@ -26,21 +26,6 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-std::vector<std::string> Split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(delim, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
   std::string out;

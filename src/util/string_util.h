@@ -15,9 +15,6 @@ std::string ToUpper(const std::string& s);
 /// Strips leading and trailing whitespace.
 std::string Trim(const std::string& s);
 
-/// Splits on a single-character delimiter; empty fields are preserved.
-std::vector<std::string> Split(const std::string& s, char delim);
-
 /// Joins strings with a separator.
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);

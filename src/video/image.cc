@@ -99,11 +99,6 @@ void Image::FillRect(const Rect& rect, const Color& color) {
   }
 }
 
-void Image::AddNoise(Rng* rng, double sigma) {
-  if (sigma <= 0) return;
-  AddNoiseFromState(rng->engine()(), sigma);
-}
-
 void Image::AddNoiseFromState(uint64_t state, double sigma) {
   if (sigma <= 0) return;
   // The per-element SplitMix64 stream and N(0,1) table live in the kernel
@@ -111,10 +106,6 @@ void Image::AddNoiseFromState(uint64_t state, double sigma) {
   // where available.
   raster::AddGaussianNoiseClamp(data_.data(), data_.size(), state,
                                 static_cast<float>(sigma));
-}
-
-void Image::ScaleBrightness(float factor) {
-  for (float& v : data_) v = std::clamp(v * factor, 0.0f, 1.0f);
 }
 
 double Image::MeanChannel(int c) const {
@@ -141,31 +132,6 @@ void Image::MeanChannels(double out[3]) const {
   for (int c = 0; c < 3; ++c) out[c] = sums[c] / static_cast<double>(pixels);
 }
 
-double Image::MeanChannelInRect(int c, const Rect& rect) const {
-  Rect r = rect.ClampToUnit();
-  if (r.Empty() || Empty()) return 0.0;
-  int x0 = std::clamp(static_cast<int>(std::floor(r.xmin * width_)), 0,
-                      width_ - 1);
-  int x1 = std::clamp(static_cast<int>(std::ceil(r.xmax * width_)), x0 + 1,
-                      width_);
-  int y0 = std::clamp(static_cast<int>(std::floor(r.ymin * height_)), 0,
-                      height_ - 1);
-  int y1 = std::clamp(static_cast<int>(std::ceil(r.ymax * height_)), y0 + 1,
-                      height_);
-  double sum = 0;
-  int count = 0;
-  for (int y = y0; y < y1; ++y) {
-    const float* row = data_.data() +
-                       (static_cast<size_t>(y) * width_ + x0) * 3 +
-                       static_cast<size_t>(c);
-    for (int x = 0; x < x1 - x0; ++x) {
-      sum += static_cast<double>(row[3 * x]);
-      ++count;
-    }
-  }
-  return count > 0 ? sum / count : 0.0;
-}
-
 Image Image::Crop(const Rect& rect) const {
   Rect r = rect.ClampToUnit();
   if (r.Empty() || Empty()) return Image();
@@ -186,64 +152,5 @@ Image Image::Crop(const Rect& rect) const {
   }
   return out;
 }
-
-Image Image::Resize(int new_width, int new_height) const {
-  Image out(new_width, new_height);
-  if (Empty() || new_width <= 0 || new_height <= 0) return out;
-  // Two-pass box filter: horizontal row sums first, then vertical
-  // accumulation of those sums. O(pixels) per pass instead of the naive
-  // O(pixels * block) nested block walk. Per output cell this regroups
-  // the historical flat sy/sx-order double sum into "sum each row in sx
-  // order, then add row sums in sy order" — a reassociation that can in
-  // principle change the low bit (kDerivedArtifactEpoch was bumped for
-  // this change; in practice [0,1]-range pixels rarely exercise it). The
-  // golden suite pins the two-pass grouping as the semantics.
-  const int sw = width_, sh = height_;
-  std::vector<double> hsum(static_cast<size_t>(sh) * new_width * 3);
-  std::vector<int> hcount(static_cast<size_t>(new_width));
-  std::vector<int> xb(static_cast<size_t>(new_width) + 1);
-  for (int x = 0; x < new_width; ++x) {
-    int sx0 = x * sw / new_width;
-    int sx1 = std::max(sx0 + 1, (x + 1) * sw / new_width);
-    xb[static_cast<size_t>(x)] = sx0;
-    hcount[static_cast<size_t>(x)] = sx1 - sx0;
-  }
-  for (int sy = 0; sy < sh; ++sy) {
-    const float* row = data_.data() + static_cast<size_t>(sy) * sw * 3;
-    double* hrow = hsum.data() + static_cast<size_t>(sy) * new_width * 3;
-    for (int x = 0; x < new_width; ++x) {
-      const int sx0 = xb[static_cast<size_t>(x)];
-      const int cnt = hcount[static_cast<size_t>(x)];
-      double r = 0, g = 0, b = 0;
-      for (int sx = sx0; sx < sx0 + cnt; ++sx) {
-        r += static_cast<double>(row[3 * sx + 0]);
-        g += static_cast<double>(row[3 * sx + 1]);
-        b += static_cast<double>(row[3 * sx + 2]);
-      }
-      hrow[3 * x + 0] = r;
-      hrow[3 * x + 1] = g;
-      hrow[3 * x + 2] = b;
-    }
-  }
-  for (int y = 0; y < new_height; ++y) {
-    int sy0 = y * sh / new_height;
-    int sy1 = std::max(sy0 + 1, (y + 1) * sh / new_height);
-    float* orow = out.data_.data() + static_cast<size_t>(y) * new_width * 3;
-    for (int x = 0; x < new_width; ++x) {
-      const int block = (sy1 - sy0) * hcount[static_cast<size_t>(x)];
-      for (int c = 0; c < 3; ++c) {
-        double sum = 0;
-        for (int sy = sy0; sy < sy1; ++sy) {
-          sum += hsum[(static_cast<size_t>(sy) * new_width + x) * 3 +
-                      static_cast<size_t>(c)];
-        }
-        orow[3 * x + c] = static_cast<float>(sum / block);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<float> Image::Flatten() const { return data_; }
 
 }  // namespace blazeit

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/random.h"
 #include "video/geometry.h"
 
 namespace blazeit {
@@ -57,18 +56,11 @@ class Image {
   /// clamped to [0,1] as in Fill.
   void FillRect(const Rect& rect, const Color& color);
 
-  /// Adds i.i.d. Gaussian noise (clamped to [0,1]) to every channel. One
-  /// engine draw seeds the whole frame's noise stream.
-  void AddNoise(Rng* rng, double sigma);
-
-  /// As AddNoise but takes the frame's stream seed directly — bit-identical
-  /// to AddNoise given `state == rng->engine()()`. Lets the renderer skip
-  /// constructing a full engine per frame (see Mt19937_64FirstDraw).
+  /// Adds i.i.d. Gaussian noise (clamped to [0,1]) to every channel from
+  /// one SplitMix64 stream seeded by `state` — the renderer passes the
+  /// first draw of the frame's engine (see Mt19937_64FirstDraw), so
+  /// `AddNoiseFromState(rng.engine()(), sigma)` is the same stream.
   void AddNoiseFromState(uint64_t state, double sigma);
-
-  /// Multiplies every channel by `factor` (clamped to [0,1]); used for
-  /// global lighting variation.
-  void ScaleBrightness(float factor);
 
   /// Mean of channel `c` over the whole image.
   double MeanChannel(int c) const;
@@ -76,20 +68,11 @@ class Image {
   /// calling MeanChannel(0..2) but 3x less memory traffic (used by the
   /// fused feature-extraction path).
   void MeanChannels(double out[3]) const;
-  /// Mean of channel `c` over the normalized-coordinate rectangle.
-  double MeanChannelInRect(int c, const Rect& rect) const;
 
   /// Crops the normalized-coordinate rectangle into a new image (pixel
   /// bounds are rounded outward; the result is at least 1x1 if the source
   /// is non-empty and the rect is non-empty).
   Image Crop(const Rect& rect) const;
-
-  /// Box-filter downsample to the target size. Upsampling is nearest.
-  Image Resize(int new_width, int new_height) const;
-
-  /// Flattens to a feature vector (RGB interleaved, row-major), the input
-  /// representation of the specialized NNs.
-  std::vector<float> Flatten() const;
 
   const std::vector<float>& data() const { return data_; }
 

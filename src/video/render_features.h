@@ -18,8 +18,8 @@ inline constexpr int kFeatureChannels = 4;
 /// specialized-NN input representation — directly into `dst`
 /// (grid_w * grid_h * kFeatureChannels floats, e.g. a Matrix::Row).
 ///
-/// This replaces the Image → Flatten → copy chain: batch loops hand in the
-/// NN input row and an optional scratch Image to reuse across frames (no
+/// No intermediate feature vector is built: batch loops hand in the NN
+/// input row and an optional scratch Image to reuse across frames (no
 /// per-frame allocation). Output bits are identical to the historical
 /// nn/ FrameFeatures: same render, same channel-mean accumulation order,
 /// same pooling and normalization expressions — so cached per-frame NN

@@ -73,16 +73,6 @@ TEST_F(AggregationTest, DisablingRewriteUsesControlVariates) {
   EXPECT_EQ(r.value().method, AggregateMethod::kControlVariates);
 }
 
-TEST_F(AggregationTest, DisablingBothFallsBackToAqp) {
-  AggregateOptions opt = FastOptions();
-  opt.allow_query_rewrite = false;
-  opt.allow_control_variates = false;
-  AggregationExecutor ex(stream_, opt);
-  auto r = ex.Run(kCar, 0.1, 0.95);
-  BLAZEIT_ASSERT_OK(r);
-  EXPECT_EQ(r.value().method, AggregateMethod::kPlainAqp);
-}
-
 TEST_F(AggregationTest, NnCountsExposedAfterRun) {
   AggregationExecutor ex(stream_, FastOptions());
   auto r = ex.Run(kCar, 0.1, 0.95);

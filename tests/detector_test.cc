@@ -98,7 +98,7 @@ TEST_F(DetectorTest, ScoresWithinUnitInterval) {
   }
 }
 
-TEST_F(DetectorTest, CountAndFilterHelpers) {
+TEST_F(DetectorTest, FilterClassHelper) {
   std::vector<Detection> dets;
   Detection d;
   d.class_id = kCar;
@@ -110,8 +110,8 @@ TEST_F(DetectorTest, CountAndFilterHelpers) {
   d.class_id = kCar;
   d.score = 0.2;
   dets.push_back(d);
-  EXPECT_EQ(CountClass(dets, kCar, 0.5), 1);
-  EXPECT_EQ(CountClass(dets, kCar, 0.1), 2);
+  EXPECT_EQ(FilterClass(dets, kCar, 0.5).size(), 1u);
+  EXPECT_EQ(FilterClass(dets, kCar, 0.1).size(), 2u);
   EXPECT_EQ(FilterClass(dets, kBus, 0.5).size(), 1u);
 }
 

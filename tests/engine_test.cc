@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "testing/test_util.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 namespace {
@@ -134,7 +138,7 @@ TEST_F(EngineTest, ExhaustiveScanHonorsClassPredicate) {
 
 // Regression: exhaustive plans used to silently drop HAVING count
 // requirements (reachable when the query has no LIMIT to make it a
-// scrubbing plan) and to silently ignore content UDF conjuncts.
+// scrubbing plan).
 TEST_F(EngineTest, ExhaustiveScanHonorsCountRequirements) {
   auto out = engine_->Execute(
       "SELECT timestamp FROM taipei GROUP BY timestamp "
@@ -151,13 +155,71 @@ TEST_F(EngineTest, ExhaustiveScanHonorsCountRequirements) {
   EXPECT_EQ(out.value().frames, expected);
 }
 
-TEST_F(EngineTest, ExhaustiveScanRefusesUdfPredicatesLoudly) {
-  // No class predicate, so this cannot become a selection plan; dropping
-  // the UDF conjunct silently would return wrong results.
-  auto out = engine_->Execute(
-      "SELECT timestamp FROM taipei WHERE redness(content) >= 0.25");
-  EXPECT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kUnimplemented);
+// Every ROI, area and content-UDF conjunct is either evaluated by the
+// query kind's plans or refused up front, naming the conjunct, rather than
+// answered as if it were absent. No plan evaluates string-valued UDFs.
+TEST_F(EngineTest, EveryConjunctIsHonoredOrRefused) {
+  // Each kind's query with one conjunct spliced in at `%s`.
+  struct Kind {
+    QueryKind kind;
+    const char* query;
+    bool roi, area, udf;  // whether the kind's plans evaluate each
+  };
+  const Kind kKinds[] = {
+      {QueryKind::kAggregate,
+       "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' AND %s "
+       "ERROR WITHIN 0.1",
+       false, false, false},
+      {QueryKind::kCountDistinct,
+       "SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class = 'car' "
+       "AND %s",
+       false, false, false},
+      {QueryKind::kScrubbing,
+       "SELECT timestamp FROM taipei WHERE %s GROUP BY timestamp "
+       "HAVING SUM(class='car') >= 2 LIMIT 3 GAP 50",
+       false, false, false},
+      {QueryKind::kSelection,
+       "SELECT * FROM taipei WHERE class = 'car' AND %s", true, true, true},
+      {QueryKind::kBinarySelect,
+       "SELECT timestamp FROM taipei WHERE class = 'bus' AND %s "
+       "FNR WITHIN 0.01 FPR WITHIN 0.01",
+       false, false, false},
+      {QueryKind::kExhaustive,
+       "SELECT timestamp FROM taipei WHERE class = 'car' AND %s", true,
+       true, false},
+  };
+  const char* kRoi = "xmax(mask) < 0.3";
+  const char* kArea = "area(mask) > 20000";
+  const char* kUdf = "redness(content) >= 0.25";
+  const char* kStringUdf = "classify(content) = 'sedan'";
+  for (const Kind& k : kKinds) {
+    for (const auto& [conjunct, honored] :
+         {std::pair{kRoi, k.roi}, {kArea, k.area}, {kUdf, k.udf},
+          {kStringUdf, false}}) {
+      const std::string query = StrFormat(k.query, conjunct);
+      SCOPED_TRACE(query);
+      auto prepared = engine_->Prepare(query);
+      auto out = engine_->Execute(query);
+      if (honored) {
+        BLAZEIT_ASSERT_OK(prepared);
+        EXPECT_EQ(prepared.value().query.kind, k.kind);
+        BLAZEIT_EXPECT_OK(out);
+        continue;
+      }
+      // Prepare refuses (so the admission queue does too), and Execute
+      // returns the same refusal.
+      ASSERT_FALSE(prepared.ok());
+      EXPECT_EQ(prepared.status().code(), StatusCode::kUnimplemented);
+      EXPECT_NE(prepared.status().message().find(conjunct),
+                std::string::npos)
+          << prepared.status().ToString();
+      EXPECT_NE(prepared.status().message().find(QueryKindName(k.kind)),
+                std::string::npos)
+          << prepared.status().ToString();
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.status().ToString(), prepared.status().ToString());
+    }
+  }
 }
 
 // Regression: begin_sec/end_sec used to be enforced only by selection;

@@ -43,7 +43,6 @@ TEST(TemporalFilterTest, CandidateFrames) {
   auto frames = f.CandidateFrames(35);
   ASSERT_EQ(frames.size(), 4u);
   EXPECT_EQ(frames[3], 30);
-  EXPECT_NEAR(f.Selectivity(35), 4.0 / 35.0, 1e-9);
 }
 
 TEST(TemporalFilterTest, TimeRange) {

@@ -1,5 +1,5 @@
 // Tests for the flight recorder behind /tracez: bounded last-N retention
-// in a sharded ring, the slowest-K reservoir, monotone correlation ids,
+// in a ring, the slowest-K reservoir, monotone correlation ids,
 // JSON rendering, and concurrent record/snapshot safety (the last is the
 // TSan target).
 
@@ -38,7 +38,6 @@ FlightRecord MakeRecord(int64_t id, double wall_ms) {
 TEST(FlightRecorderTest, RetainsExactlyLastNMostRecentFirst) {
   FlightRecorder::Options options;
   options.capacity = 8;
-  options.shards = 2;
   options.slowest_k = 4;
   FlightRecorder recorder(options);
 
@@ -60,7 +59,6 @@ TEST(FlightRecorderTest, RetainsExactlyLastNMostRecentFirst) {
 TEST(FlightRecorderTest, SnapshotBelowCapacityReturnsAllRecords) {
   FlightRecorder::Options options;
   options.capacity = 16;
-  options.shards = 4;
   FlightRecorder recorder(options);
   recorder.Record(MakeRecord(100, 2.0));
   recorder.Record(MakeRecord(101, 3.0));
@@ -73,7 +71,6 @@ TEST(FlightRecorderTest, SnapshotBelowCapacityReturnsAllRecords) {
 TEST(FlightRecorderTest, SlowestReservoirKeepsOutliersAcrossFastBursts) {
   FlightRecorder::Options options;
   options.capacity = 4;  // tiny ring so fast queries churn it
-  options.shards = 1;
   options.slowest_k = 3;
   FlightRecorder recorder(options);
 
@@ -102,7 +99,6 @@ TEST(FlightRecorderTest, SlowestReservoirKeepsOutliersAcrossFastBursts) {
 TEST(FlightRecorderTest, SlowerRecordDisplacesFastestRetained) {
   FlightRecorder::Options options;
   options.capacity = 8;
-  options.shards = 1;
   options.slowest_k = 2;
   FlightRecorder recorder(options);
   recorder.Record(MakeRecord(1, 10.0));
@@ -126,7 +122,6 @@ TEST(FlightRecorderTest, CorrelationIdsAreStrictlyIncreasing) {
 TEST(FlightRecorderTest, ToJsonIsValidAndCarriesBothViews) {
   FlightRecorder::Options options;
   options.capacity = 8;
-  options.shards = 2;
   options.slowest_k = 2;
   FlightRecorder recorder(options);
 
@@ -155,16 +150,17 @@ TEST(FlightRecorderTest, ToJsonIsValidAndCarriesBothViews) {
 
 TEST(FlightRecorderTest, ClampsDegenerateOptions) {
   FlightRecorder::Options options;
-  options.capacity = 2;
-  options.shards = 16;  // more shards than capacity
+  options.capacity = 0;
   options.slowest_k = 0;
   FlightRecorder recorder(options);
   for (int64_t i = 0; i < 50; ++i) {
     recorder.Record(MakeRecord(i, 1.0));
   }
   EXPECT_EQ(recorder.total_recorded(), 50);
-  // Capacity is clamped up to the shard count (one slot per shard).
-  EXPECT_EQ(recorder.Snapshot().size(), 16u);
+  // Capacity is clamped up to one slot, which holds the latest record.
+  const std::vector<FlightRecord> recent = recorder.Snapshot();
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].sequence, 49);
   // slowest_k == 0 disables the reservoir entirely.
   EXPECT_TRUE(recorder.SlowestSnapshot().empty());
 }
@@ -173,7 +169,6 @@ TEST(FlightRecorderTest, ClampsDegenerateOptions) {
 TEST(FlightRecorderTest, ConcurrentRecordAndSnapshot) {
   FlightRecorder::Options options;
   options.capacity = 64;
-  options.shards = 4;
   options.slowest_k = 8;
   FlightRecorder recorder(options);
 

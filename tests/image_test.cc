@@ -168,11 +168,11 @@ TEST(ImageTest, MeanChannelsFallBackToSerialSums) {
             CpuHasAvx512());
 }
 
-TEST(ImageTest, MeanChannelInRect) {
+TEST(ImageTest, CropMeanChannelOfRect) {
   Image img(10, 10);
   img.FillRect(Rect{0.0, 0.0, 0.5, 1.0}, Color{1, 0, 0});
-  EXPECT_NEAR(img.MeanChannelInRect(0, Rect{0.0, 0.0, 0.5, 1.0}), 1.0, 1e-6);
-  EXPECT_NEAR(img.MeanChannelInRect(0, Rect{0.5, 0.0, 1.0, 1.0}), 0.0, 0.25);
+  EXPECT_NEAR(img.Crop(Rect{0.0, 0.0, 0.5, 1.0}).MeanChannel(0), 1.0, 1e-6);
+  EXPECT_NEAR(img.Crop(Rect{0.5, 0.0, 1.0, 1.0}).MeanChannel(0), 0.0, 0.25);
 }
 
 TEST(ImageTest, AddNoiseBoundedAndDeterministic) {
@@ -180,8 +180,8 @@ TEST(ImageTest, AddNoiseBoundedAndDeterministic) {
   a.Fill(Color{0.5f, 0.5f, 0.5f});
   b.Fill(Color{0.5f, 0.5f, 0.5f});
   Rng r1(9), r2(9);
-  a.AddNoise(&r1, 0.1);
-  b.AddNoise(&r2, 0.1);
+  a.AddNoiseFromState(r1.engine()(), 0.1);
+  b.AddNoiseFromState(r2.engine()(), 0.1);
   bool any_changed = false;
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) {
@@ -196,13 +196,6 @@ TEST(ImageTest, AddNoiseBoundedAndDeterministic) {
   EXPECT_TRUE(any_changed);
 }
 
-TEST(ImageTest, ScaleBrightnessClamped) {
-  Image img(2, 2);
-  img.Fill(Color{0.8f, 0.8f, 0.8f});
-  img.ScaleBrightness(2.0f);
-  EXPECT_FLOAT_EQ(img.At(0, 0, 0), 1.0f);
-}
-
 TEST(ImageTest, CropExtractsRegion) {
   Image img(10, 10);
   img.FillRect(Rect{0.5, 0.5, 1.0, 1.0}, Color{0, 1, 0});
@@ -215,23 +208,6 @@ TEST(ImageTest, CropExtractsRegion) {
 TEST(ImageTest, CropEmptyRect) {
   Image img(10, 10);
   EXPECT_TRUE(img.Crop(Rect{0.5, 0.5, 0.5, 0.5}).Empty());
-}
-
-TEST(ImageTest, ResizeDownAverages) {
-  Image img(4, 4);
-  img.FillRect(Rect{0.0, 0.0, 0.5, 1.0}, Color{1, 1, 1});
-  Image small = img.Resize(2, 2);
-  EXPECT_EQ(small.width(), 2);
-  EXPECT_NEAR(small.At(0, 0, 0), 1.0, 1e-6);
-  EXPECT_NEAR(small.At(1, 0, 0), 0.0, 1e-6);
-}
-
-TEST(ImageTest, FlattenSizeAndOrder) {
-  Image img(3, 2);
-  img.Set(0, 0, 0, 0.7f);
-  std::vector<float> flat = img.Flatten();
-  ASSERT_EQ(flat.size(), 3u * 2u * 3u);
-  EXPECT_FLOAT_EQ(flat[0], 0.7f);
 }
 
 }  // namespace

@@ -7,10 +7,8 @@
 // artifact store.
 //
 // Bit-exactness policy (see README "Hot-path kernels"): Fill, FillRect,
-// Crop, and AddNoise are pinned to the original scalar semantics — their
-// vectorized paths must be bit-identical. Resize moved to a two-pass box
-// filter in PR 3 (kDerivedArtifactEpoch bumped); its reference below *is*
-// the two-pass formulation, documented as such.
+// Crop, and the noise kernel are pinned to the original scalar semantics —
+// their vectorized paths must be bit-identical.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -69,55 +67,6 @@ Image RefCrop(const Image& src, const Rect& rect) {
   for (int y = y0; y < y1; ++y) {
     for (int x = x0; x < x1; ++x) {
       for (int c = 0; c < 3; ++c) out.Set(x - x0, y - y0, c, src.At(x, y, c));
-    }
-  }
-  return out;
-}
-
-// Resize reference: two-pass box filter (horizontal then vertical), the
-// PR 3 semantics. Per output cell the horizontal pass accumulates each
-// source row's span in sx order into a double, and the vertical pass adds
-// those row sums in sy order — the same grouping the production kernel
-// uses, so this comparison is still bit-exact.
-Image RefResizeTwoPass(const Image& src, int new_width, int new_height) {
-  Image out(new_width, new_height);
-  if (src.Empty() || new_width <= 0 || new_height <= 0) return out;
-  const int sw = src.width(), sh = src.height();
-  // Horizontal pass: row sums per (source row, output column, channel).
-  std::vector<double> hsum(static_cast<size_t>(sh) * new_width * 3, 0.0);
-  std::vector<int> hcount(static_cast<size_t>(new_width), 0);
-  for (int x = 0; x < new_width; ++x) {
-    int sx0 = x * sw / new_width;
-    int sx1 = std::max(sx0 + 1, (x + 1) * sw / new_width);
-    hcount[static_cast<size_t>(x)] = sx1 - sx0;
-    for (int sy = 0; sy < sh; ++sy) {
-      double r = 0, g = 0, b = 0;
-      for (int sx = sx0; sx < sx1; ++sx) {
-        r += static_cast<double>(src.At(sx, sy, 0));
-        g += static_cast<double>(src.At(sx, sy, 1));
-        b += static_cast<double>(src.At(sx, sy, 2));
-      }
-      size_t base = (static_cast<size_t>(sy) * new_width + x) * 3;
-      hsum[base + 0] = r;
-      hsum[base + 1] = g;
-      hsum[base + 2] = b;
-    }
-  }
-  // Vertical pass: add row sums in sy order, divide by the block size.
-  for (int y = 0; y < new_height; ++y) {
-    int sy0 = y * sh / new_height;
-    int sy1 = std::max(sy0 + 1, (y + 1) * sh / new_height);
-    for (int x = 0; x < new_width; ++x) {
-      for (int c = 0; c < 3; ++c) {
-        double sum = 0;
-        for (int sy = sy0; sy < sy1; ++sy) {
-          sum += hsum[(static_cast<size_t>(sy) * new_width + x) * 3 +
-                      static_cast<size_t>(c)];
-        }
-        out.Set(x, y, c,
-                static_cast<float>(
-                    sum / ((sy1 - sy0) * hcount[static_cast<size_t>(x)])));
-      }
     }
   }
   return out;
@@ -309,48 +258,6 @@ TEST(RasterGoldenTest, CropRoundingPinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Resize golden: two-pass box filter.
-// ---------------------------------------------------------------------------
-
-TEST(RasterGoldenTest, ResizeMatchesTwoPassReference) {
-  Rng rng(0x8ebc6af09c88c6e3ULL);
-  constexpr int kTargets[][2] = {{1, 1}, {2, 3}, {8, 8}, {15, 6}, {32, 32},
-                                 {48, 48}};
-  for (auto [w, h] : kSizes) {
-    Image src = RandomImage(&rng, w, h);
-    for (auto [nw, nh] : kTargets) {
-      Image want = RefResizeTwoPass(src, nw, nh);
-      Image got = src.Resize(nw, nh);
-      SCOPED_TRACE(::testing::Message()
-                   << w << "x" << h << " -> " << nw << "x" << nh);
-      ExpectBitIdentical(want, got);
-    }
-  }
-}
-
-TEST(RasterGoldenTest, ResizeBoxAveragesPinned) {
-  // 4x4 -> 2x2: each output pixel is the mean of a 2x2 block.
-  Image src(4, 4);
-  float v = 0;
-  for (int y = 0; y < 4; ++y) {
-    for (int x = 0; x < 4; ++x) {
-      for (int c = 0; c < 3; ++c) src.Set(x, y, c, v += 0.01f);
-    }
-  }
-  Image out = src.Resize(2, 2);
-  for (int c = 0; c < 3; ++c) {
-    double want = (static_cast<double>(src.At(0, 0, c)) + src.At(1, 0, c) +
-                   src.At(0, 1, c) + src.At(1, 1, c)) /
-                  4.0;
-    EXPECT_NEAR(out.At(0, 0, c), want, 1e-7);
-  }
-  // Upsampling stays nearest-ish (block of one source pixel).
-  Image up = src.Resize(8, 8);
-  EXPECT_EQ(up.At(0, 0, 0), src.At(0, 0, 0));
-  EXPECT_EQ(up.At(7, 7, 2), src.At(3, 3, 2));
-}
-
-// ---------------------------------------------------------------------------
 // AddNoise golden: the serial SplitMix64 stream, bit-exact (this is the
 // SIMD-vs-scalar parity check for the dispatched noise kernel).
 // ---------------------------------------------------------------------------
@@ -362,10 +269,10 @@ TEST(RasterGoldenTest, AddNoiseMatchesSerialReference) {
         Image img(w, h);
         img.Fill(Color{0.45f, 0.5f, 0.55f});
         std::vector<float> want = img.data();
-        // Image::AddNoise seeds its whole-frame stream with one engine
-        // draw; replicate that for the reference.
+        // The renderer seeds a frame's whole noise stream with one engine
+        // draw; replicate that for both sides.
         Rng rng_img(seed), rng_ref(seed);
-        img.AddNoise(&rng_img, sigma);
+        img.AddNoiseFromState(rng_img.engine()(), sigma);
         RefAddNoise(&want, rng_ref.engine()(), sigma);
         SCOPED_TRACE(::testing::Message() << w << "x" << h << " seed " << seed
                                           << " sigma " << sigma);
@@ -401,7 +308,7 @@ TEST(RasterGoldenTest, AddNoiseZeroSigmaIsIdentity) {
   img.Fill(Color{0.3f, 0.6f, 0.9f});
   std::vector<float> before = img.data();
   Rng rng(11);
-  img.AddNoise(&rng, 0.0);
+  img.AddNoiseFromState(rng.engine()(), 0.0);
   EXPECT_EQ(img.data(), before);
 }
 

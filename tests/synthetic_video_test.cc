@@ -120,9 +120,9 @@ TEST(SyntheticVideoTest, RenderedObjectsVisible) {
     for (const auto& obj : video->GroundTruth(t)) {
       if (obj.class_id == kBus && obj.population == 0 &&
           obj.rect.Area() > 0.02) {
-        Image img = video->RenderFrame(t, 64, 64);
-        double red = img.MeanChannelInRect(0, obj.rect);
-        double green = img.MeanChannelInRect(1, obj.rect);
+        Image box = video->RenderFrame(t, 64, 64).Crop(obj.rect);
+        double red = box.MeanChannel(0);
+        double green = box.MeanChannel(1);
         EXPECT_GT(red, green + 0.2);
         return;
       }
@@ -138,7 +138,7 @@ TEST(SyntheticVideoTest, RenderRegionReprojects) {
   Image full = video->RenderFrame(100, 64, 64);
   Image region = video->RenderFrameRegion(100, Rect{0.5, 0.5, 1.0, 1.0},
                                           32, 32);
-  double full_q = full.MeanChannelInRect(0, Rect{0.5, 0.5, 1.0, 1.0});
+  double full_q = full.Crop(Rect{0.5, 0.5, 1.0, 1.0}).MeanChannel(0);
   double reg = region.MeanChannel(0);
   EXPECT_NEAR(full_q, reg, 0.05);
 }

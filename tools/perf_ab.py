@@ -14,9 +14,8 @@ and any fixture outside the measured runs. Pair i then uses seed K + i on both
 sides and alternates which side goes first. The summary gives each side's
 median, quartiles and IQR per metric, the per-pair wins for --metric, and
 whether the paper-cost metrics (simulated seconds, detector calls, NN
-frames, store size) are equal in the zero-length runs and in the pairs
-whose sides ran the same number of passes (a mean over more passes can
-differ in its last bit). Metric directions come from BENCHMARK.json.
+frames, store size) agree in the zero-length runs and in every pair, see
+paper_cost_check. Metric directions come from BENCHMARK.json.
 """
 
 import argparse
@@ -30,8 +29,15 @@ import tempfile
 
 sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAPER_COSTS = ("sim_s_per_query", "detector_calls_per_query",
-               "nn_frames_per_query", "store_mb")
+# Paper-cost metrics that perfbench/report.py computes as exact integer
+# sums divided by exact integer counts, or reads once per run, so they do
+# not depend on how many passes a side ran.
+COUNT_COSTS = ("detector_calls_per_query", "nn_frames_per_query", "store_mb")
+# A mean of float simulated seconds: its last bits move with the pass count
+# and with the order a run sums its queries in (about 3e-15 relative). One
+# NN frame more per pass moves it by about 5e-10 on serve-mix.
+SIM_COST = "sim_s_per_query"
+SIM_REL_TOL = 1e-11
 SIDES = ("base", "head")
 
 
@@ -102,21 +108,26 @@ def summarize(pairs, better):
 
 
 def paper_cost_check(pairs):
-    """Compares the paper-cost metrics in pairs whose sides ran the same
-    number of passes. Returns (equal pairs, compared pairs, mismatches),
-    with mismatches as (pair index, metric, base value, head value)."""
-    compared = equal = 0
+    """Compares the paper-cost metrics in every pair, whatever pass counts
+    its sides ran: the COUNT_COSTS exactly, and SIM_COST within a relative
+    SIM_REL_TOL. Returns (agreeing pairs, pairs whose SIM_COST matched
+    exactly, mismatches), with mismatches as (pair index, metric, base
+    value, head value)."""
+    equal = exact = 0
     mismatches = []
     for i, p in enumerate(pairs):
-        if p["base"]["passes"] != p["head"]["passes"]:
-            continue
-        compared += 1
-        bad = [(i, m, p["base"]["metrics"].get(m), p["head"]["metrics"].get(m))
-               for m in PAPER_COSTS
-               if p["base"]["metrics"].get(m) != p["head"]["metrics"].get(m)]
+        base, head = p["base"]["metrics"], p["head"]["metrics"]
+        bad = [(i, m, base.get(m), head.get(m)) for m in COUNT_COSTS
+               if base.get(m) != head.get(m)]
+        b, h = base.get(SIM_COST), head.get(SIM_COST)
+        if b == h:
+            exact += 1
+        elif b is None or h is None or \
+                abs(h - b) > SIM_REL_TOL * max(abs(b), abs(h)):
+            bad.append((i, SIM_COST, b, h))
         mismatches += bad
         equal += not bad
-    return equal, compared, mismatches
+    return equal, exact, mismatches
 
 
 def parse_run(stdout):
@@ -190,16 +201,19 @@ def print_summary(workload, pairs, better, metric, zero):
             " (beyond base IQR)" if row["beyond_base_iqr"] else ""))
     won, total = wins(pairs, metric, better.get(metric, "higher"))
     print("  %s: head won %d/%d pairs" % (metric, won, total))
-    equal, _, bad = paper_cost_check([zero])
+    equal, exact, bad = paper_cost_check([zero])
     print("  paper costs in the zero-length runs (passes %s / %s): %s" % (
         zero["base"]["passes"], zero["head"]["passes"],
-        "equal" if equal else "DIFFER"))
+        ("equal" if exact else "equal within tolerance") if equal
+        else "DIFFER"))
     for _, name, b, h in bad:
         print("    %s: base %r head %r" % (name, b, h))
-    equal, compared, bad = paper_cost_check(pairs)
-    print("  paper costs equal in %d/%d pairs with equal pass counts "
-          "(%d pairs ran unequal pass counts)" % (equal, compared,
-                                                  len(pairs) - compared))
+    equal, exact, bad = paper_cost_check(pairs)
+    unequal_passes = sum(p["base"]["passes"] != p["head"]["passes"]
+                         for p in pairs)
+    print("  paper costs agree in %d/%d pairs, %s exactly in %d "
+          "(%d pairs ran unequal pass counts)" % (
+              equal, len(pairs), SIM_COST, exact, unequal_passes))
     for i, name, b, h in bad:
         print("    pair %d %s: base %r head %r" % (i, name, b, h))
     runs = [p[s] for p in pairs for s in SIDES] + [zero[s] for s in SIDES]

@@ -76,18 +76,38 @@ class PaperCostTest(unittest.TestCase):
     COSTS = {"sim_s_per_query": 2.5, "detector_calls_per_query": 7.0,
              "nn_frames_per_query": 900.0, "store_mb": 8.4}
 
-    def test_equal_pass_counts_only(self):
+    def test_every_pair_whatever_its_pass_counts(self):
+        # Count metrics must match exactly even when the sides ran
+        # different numbers of passes; the second pair's store differs.
         pairs = [pair(side(8, **self.COSTS), side(8, **self.COSTS)),
+                 pair(side(8, **self.COSTS), side(9, **self.COSTS)),
                  pair(side(8, **self.COSTS),
                       side(9, **dict(self.COSTS, store_mb=9.0)))]
-        self.assertEqual(perf_ab.paper_cost_check(pairs), (1, 1, []))
+        self.assertEqual(perf_ab.paper_cost_check(pairs),
+                         (2, 3, [(2, "store_mb", 8.4, 9.0)]))
 
-    def test_mismatch_is_reported(self):
+    def test_sim_seconds_within_tolerance_is_not_exact(self):
+        # A last-bit drift (a mean over another pass count) agrees, but is
+        # not counted as an exact match.
         head = dict(self.COSTS, sim_s_per_query=2.5000000000000004)
+        pairs = [pair(side(8, **self.COSTS), side(9, **head))]
+        self.assertEqual(perf_ab.paper_cost_check(pairs), (1, 0, []))
+
+    def test_sim_seconds_beyond_tolerance_is_reported(self):
+        # 1e-10 relative, about what one NN frame more per pass moves
+        # serve-mix's simulated seconds by, is beyond the 1e-11 tolerance.
+        head = dict(self.COSTS, sim_s_per_query=2.5 * (1 + 1e-10))
         pairs = [pair(side(8, **self.COSTS), side(8, **head))]
-        equal, compared, bad = perf_ab.paper_cost_check(pairs)
-        self.assertEqual((equal, compared), (0, 1))
-        self.assertEqual(bad, [(0, "sim_s_per_query", 2.5, 2.5000000000000004)])
+        equal, exact, bad = perf_ab.paper_cost_check(pairs)
+        self.assertEqual((equal, exact), (0, 0))
+        self.assertEqual(bad, [(0, "sim_s_per_query", 2.5, 2.5 * (1 + 1e-10))])
+
+    def test_count_metric_mismatch_is_reported(self):
+        head = dict(self.COSTS, detector_calls_per_query=7.04)
+        pairs = [pair(side(8, **self.COSTS), side(8, **head))]
+        equal, exact, bad = perf_ab.paper_cost_check(pairs)
+        self.assertEqual((equal, exact), (0, 1))
+        self.assertEqual(bad, [(0, "detector_calls_per_query", 7.0, 7.04)])
 
 
 class ParseRunTest(unittest.TestCase):
