@@ -6,7 +6,7 @@
 // frame inferences and trainings were served from another query's sweep,
 // and the wall-clock of both paths. The per-query outputs (answers,
 // frames, rows, simulated costs) are bit-identical between the two paths
-// (asserted continuously by tests/batch_determinism_test.cc); only the
+// (asserted continuously by tests/admission_determinism_test.cc); only the
 // batch-level accounting shows the dedup.
 #include <algorithm>
 #include <chrono>

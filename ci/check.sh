@@ -314,12 +314,13 @@ echo "==> asan+ubsan lane clean"
 
 # Gating ThreadSanitizer lane: rebuild every fast suite (exec runtime,
 # storage locking, serving, obs, net) with -fsanitize=thread and run
-# them, plus the two slow suites that drive the admission queue's group
-# loop — the only concurrent batching code: batch_determinism_test
-# (shared-plan groups running concurrently against one SharedSweepCache)
-# and serve_determinism_test (eight client threads calling Submit
-# concurrently). Races found here fail the build.
-echo "==> tsan lane (gating): fast suites + batch/serve determinism suites"
+# them, plus the slow suite that drives the admission queue's group loop —
+# the only concurrent batching code: admission_determinism_test
+# (shared-plan groups running concurrently against one SharedSweepCache,
+# and eight client threads calling Submit concurrently), which ctest runs
+# as batch_determinism_test and serve_determinism_test. Races found here
+# fail the build.
+echo "==> tsan lane (gating): fast suites + admission determinism suite"
 TSAN_BUILD="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_BUILD}" -S . -DBLAZEIT_TSAN=ON \
   -DBLAZEIT_BUILD_BENCHES=OFF -DBLAZEIT_BUILD_EXAMPLES=OFF \

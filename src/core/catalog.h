@@ -27,8 +27,10 @@ struct StreamData {
   std::unique_ptr<SyntheticVideo> held_out_day;
   std::unique_ptr<SyntheticVideo> test_day;
   std::unique_ptr<SimulatedDetector> detector_impl;
-  /// Memoizing CachedDetector over detector_impl, reading through the
-  /// catalog's detection store when one is enabled.
+  /// CachedDetector over detector_impl, reading through the catalog's
+  /// detection store when one is enabled. It keeps no copy: each day's
+  /// detections live in its labeled set below, which runs this detector
+  /// once per frame on its first read.
   std::unique_ptr<ObjectDetector> detector;
   std::unique_ptr<LabeledSet> train_labels;
   std::unique_ptr<LabeledSet> held_out_labels;

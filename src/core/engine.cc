@@ -297,7 +297,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
   if (report != nullptr) {
     report->plan = PlanKindName(result.plan);
     report->plan_description = result.plan_description;
-    report->FillCost(result.cost);
+    report->cost = result.cost;
     report->cache = view->stats();
     report->trace = trace;
     result.report = std::move(report);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace blazeit {
 
 LabeledSet::LabeledSet(const SyntheticVideo* day,
@@ -9,34 +11,37 @@ LabeledSet::LabeledSet(const SyntheticVideo* day,
                        double score_threshold)
     : day_(day), detector_(detector), score_threshold_(score_threshold) {}
 
-void LabeledSet::BuildAllCounts() const {
+void LabeledSet::Build() const {
   if (built_.load(std::memory_order_acquire)) return;
   util::MutexLock lock(build_mu_);
   if (built_.load(std::memory_order_relaxed)) return;
-  for (int c = 0; c < kNumClasses; ++c) {
-    counts_[c].assign(static_cast<size_t>(day_->num_frames()), 0);
-  }
-  for (int64_t t = 0; t < day_->num_frames(); ++t) {
-    for (const Detection& det : detector_->Detect(*day_, t)) {
-      if (det.score >= score_threshold_) {
-        ++counts_[det.class_id][static_cast<size_t>(t)];
-      }
-    }
+  const size_t n = static_cast<size_t>(day_->num_frames());
+  for (std::vector<int>& counts : counts_) counts.assign(n, 0);
+  detections_.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    std::vector<Detection> dets =
+        detector_->Detect(*day_, static_cast<int64_t>(t));
+    dets.erase(std::remove_if(dets.begin(), dets.end(),
+                              [this](const Detection& det) {
+                                return det.score < score_threshold_;
+                              }),
+               dets.end());
+    for (const Detection& det : dets) ++counts_.at(det.class_id)[t];
+    detections_[t] = std::move(dets);
   }
   built_.store(true, std::memory_order_release);
 }
 
 const std::vector<int>& LabeledSet::Counts(int class_id) const {
-  BuildAllCounts();
+  Build();
   return counts_.at(class_id);
 }
 
-std::vector<Detection> LabeledSet::DetectionsAt(int64_t frame) const {
-  std::vector<Detection> out;
-  for (const Detection& det : detector_->Detect(*day_, frame)) {
-    if (det.score >= score_threshold_) out.push_back(det);
-  }
-  return out;
+const std::vector<Detection>& LabeledSet::DetectionsAt(int64_t frame) const {
+  Build();
+  BLAZEIT_CHECK(frame >= 0 && frame < day_->num_frames())
+      << " frame " << frame << " outside a day of " << day_->num_frames();
+  return detections_[static_cast<size_t>(frame)];
 }
 
 double LabeledSet::Occupancy(int class_id) const {

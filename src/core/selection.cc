@@ -60,7 +60,7 @@ bool SelectionExecutor::FrameMatches(const LabeledSet& labels, int64_t frame,
                                      const AnalyzedQuery& query,
                                      std::vector<SelectionRow>* rows,
                                      Image* render_scratch) const {
-  std::vector<Detection> dets = labels.DetectionsAt(frame);
+  const std::vector<Detection>& dets = labels.DetectionsAt(frame);
   bool any = false;
   bool rendered_this_frame = false;  // render lazily, at most once per frame
   Image& rendered = *render_scratch;
@@ -139,7 +139,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
   // ---- positive masks on the held-out day (offline, uncharged) ----
   // Sharded across the exec pool: every frame writes only its own mask
   // slots, FrameMatches renders into per-worker scratch, and the labeled
-  // set / detector caches are thread-safe — so the masks (and everything
+  // set's lazy build is thread-safe — so the masks (and everything
   // calibrated from them) are identical at any thread count.
   const SyntheticVideo& held = *stream_->held_out_day;
   const std::vector<int>& held_counts =

@@ -27,20 +27,6 @@ void AppendCostLine(const char* label, int64_t calls, double seconds,
 
 }  // namespace
 
-void ExecutionReport::FillCost(const CostMeter& meter) {
-  detection_calls = meter.detection_calls();
-  specialized_nn_calls = meter.specialized_nn_calls();
-  filter_calls = meter.filter_calls();
-  training_frames = meter.training_frames();
-  detection_seconds = meter.detection_seconds();
-  specialized_nn_seconds = meter.specialized_nn_seconds();
-  filter_seconds = meter.filter_seconds();
-  training_seconds = meter.training_seconds();
-  thresholding_seconds = meter.thresholding_seconds();
-  total_seconds = meter.TotalSeconds();
-  query_seconds = meter.QuerySeconds();
-}
-
 std::string ExecutionReport::ToText() const {
   std::string out;
   out += "query: " + query + "\n";
@@ -56,18 +42,20 @@ std::string ExecutionReport::ToText() const {
     out += "accuracy tier: " + accuracy_tier + "\n";
   }
   out += "simulated cost:\n";
-  AppendCostLine("detection", detection_calls, detection_seconds, &out);
-  AppendCostLine("specialized-nn", specialized_nn_calls,
-                 specialized_nn_seconds, &out);
-  AppendCostLine("filter", filter_calls, filter_seconds, &out);
-  AppendCostLine("training", training_frames, training_seconds, &out);
+  AppendCostLine("detection", cost.detection_calls(),
+                 cost.detection_seconds(), &out);
+  AppendCostLine("specialized-nn", cost.specialized_nn_calls(),
+                 cost.specialized_nn_seconds(), &out);
+  AppendCostLine("filter", cost.filter_calls(), cost.filter_seconds(), &out);
+  AppendCostLine("training", cost.training_frames(), cost.training_seconds(),
+                 &out);
   char buf[128];
   std::snprintf(buf, sizeof(buf), "  %-16s %10s        %12.6f sim-s\n",
-                "thresholding", "", thresholding_seconds);
+                "thresholding", "", cost.thresholding_seconds());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  total %.6f sim-s (%.6f excluding train/threshold)\n",
-                total_seconds, query_seconds);
+                cost.TotalSeconds(), cost.QuerySeconds());
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -121,18 +109,20 @@ std::string ExecutionReport::ToJson() const {
   out += ",\"batch_group\":" + std::to_string(batch_group);
   out += ",\"accuracy_tier\":\"" + JsonEscape(accuracy_tier) + "\"";
   out += ",\"cost\":{";
-  out += "\"detection_calls\":" + std::to_string(detection_calls);
-  out += ",\"specialized_nn_calls\":" + std::to_string(specialized_nn_calls);
-  out += ",\"filter_calls\":" + std::to_string(filter_calls);
-  out += ",\"training_frames\":" + std::to_string(training_frames);
-  out += ",\"detection_seconds\":" + FormatDouble(detection_seconds);
+  out += "\"detection_calls\":" + std::to_string(cost.detection_calls());
+  out += ",\"specialized_nn_calls\":" +
+         std::to_string(cost.specialized_nn_calls());
+  out += ",\"filter_calls\":" + std::to_string(cost.filter_calls());
+  out += ",\"training_frames\":" + std::to_string(cost.training_frames());
+  out += ",\"detection_seconds\":" + FormatDouble(cost.detection_seconds());
   out += ",\"specialized_nn_seconds\":" +
-         FormatDouble(specialized_nn_seconds);
-  out += ",\"filter_seconds\":" + FormatDouble(filter_seconds);
-  out += ",\"training_seconds\":" + FormatDouble(training_seconds);
-  out += ",\"thresholding_seconds\":" + FormatDouble(thresholding_seconds);
-  out += ",\"total_seconds\":" + FormatDouble(total_seconds);
-  out += ",\"query_seconds\":" + FormatDouble(query_seconds);
+         FormatDouble(cost.specialized_nn_seconds());
+  out += ",\"filter_seconds\":" + FormatDouble(cost.filter_seconds());
+  out += ",\"training_seconds\":" + FormatDouble(cost.training_seconds());
+  out += ",\"thresholding_seconds\":" +
+         FormatDouble(cost.thresholding_seconds());
+  out += ",\"total_seconds\":" + FormatDouble(cost.TotalSeconds());
+  out += ",\"query_seconds\":" + FormatDouble(cost.QuerySeconds());
   out += "}";
   out += ",\"cache\":{";
   out += "\"frame_float_hits\":" + std::to_string(cache.frame_float_hits);

@@ -70,27 +70,13 @@ struct ExecutionReport {
   /// is visible to clients in the report.
   std::string accuracy_tier = "full";
 
-  // --- simulated-cost breakdown (== the QueryOutput's CostMeter) ---
-  int64_t detection_calls = 0;
-  int64_t specialized_nn_calls = 0;
-  int64_t filter_calls = 0;
-  int64_t training_frames = 0;
-  double detection_seconds = 0.0;
-  double specialized_nn_seconds = 0.0;
-  double filter_seconds = 0.0;
-  double training_seconds = 0.0;
-  double thresholding_seconds = 0.0;
-  double total_seconds = 0.0;
-  double query_seconds = 0.0;
-
+  /// Simulated-cost breakdown: a copy of the QueryOutput's CostMeter.
+  CostMeter cost;
   CacheStats cache;
   SketchStats sketch;
 
   /// Present when tracing ran (always, under collect_reports).
   std::shared_ptr<QueryTrace> trace;
-
-  /// Copies the meter's counters and seconds into the breakdown fields.
-  void FillCost(const CostMeter& meter);
 
   /// Multi-line EXPLAIN text: plan, cost table, cache/sketch lines, and
   /// the trace tree.

@@ -508,7 +508,7 @@ Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
   if (report != nullptr) {
     report->plan = PlanKindName(out.plan);
     report->plan_description = out.plan_description;
-    report->FillCost(out.cost);
+    report->cost = out.cost;
     out.report = std::move(report);
   }
   return out;

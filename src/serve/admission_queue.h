@@ -142,9 +142,8 @@ struct ServerStats {
 /// replay admission schedules exactly. Determinism contract: with a fixed
 /// admission order, every non-degraded response's output — answer,
 /// frames, rows, simulated CostMeter — is bit-identical to serial
-/// engine.Execute at any pool size (tests/serve_determinism_test.cc,
-/// tests/batch_determinism_test.cc); coalescing only drops *charged*
-/// work, visible in stats.
+/// engine.Execute at any pool size (tests/admission_determinism_test.cc);
+/// coalescing only drops *charged* work, visible in stats.
 ///
 /// Thread-safe: Submit/Advance/Drain/TakeCompleted may be called from
 /// concurrent client threads. Windows execute one at a time, in the order

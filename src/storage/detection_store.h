@@ -106,13 +106,13 @@ class StoreReader {
   std::unordered_map<int64_t, uint64_t> index_;
 };
 
-/// Disk-resident cache of expensive per-frame artifacts, replacing the
-/// process-lifetime detector memoization with state that survives runs
-/// (the paper's "run the detector once and record the results", Section
-/// 10.2, made persistent). Records live in *namespaces* — a namespace is a
-/// fingerprint identifying how its payloads were produced (stream day ×
-/// detector for detection rows; trained NN × day for per-frame NN outputs)
-/// — and each (namespace, frame) maps to one payload.
+/// Disk-resident cache of expensive per-frame artifacts: state that
+/// survives runs (the paper's "run the detector once and record the
+/// results", Section 10.2, made persistent). Records live in
+/// *namespaces* — a namespace is a fingerprint identifying how its
+/// payloads were produced (stream day × detector for detection rows;
+/// trained NN × day for per-frame NN outputs) — and each (namespace,
+/// frame) maps to one payload.
 ///
 /// On disk a store is a directory of immutable segment files named
 /// `ns-<namespace hex>-<nonce>.seg`. Open() indexes every segment; Put()

@@ -181,6 +181,10 @@ Result<std::vector<Detection>> DecodeDetectionsPayload(
     }
     Detection det;
     det.class_id = ReadRaw<int32_t>(cursor);
+    if (det.class_id < 0 || det.class_id >= kNumClasses) {
+      return Status::ParseError(
+          StrFormat("row %u names unknown class %d", i, det.class_id));
+    }
     det.rect.xmin = ReadRaw<double>(cursor + 4);
     det.rect.ymin = ReadRaw<double>(cursor + 12);
     det.rect.xmax = ReadRaw<double>(cursor + 20);

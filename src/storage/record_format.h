@@ -98,7 +98,8 @@ Result<RecordInfo> ValidateRecord(const void* data, size_t size);
 /// including IEEE bit patterns of box/score doubles and feature floats).
 std::string EncodeDetectionsPayload(const std::vector<Detection>& detections);
 
-/// Parses a detections payload; ParseError on any structural mismatch.
+/// Parses a detections payload; ParseError on any structural mismatch or
+/// a class id outside [0, kNumClasses).
 Result<std::vector<Detection>> DecodeDetectionsPayload(
     const std::string& payload);
 

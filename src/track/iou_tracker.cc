@@ -26,9 +26,14 @@ std::vector<int64_t> IouTracker::Update(
       if (iou >= iou_threshold_) candidates.push_back({iou, ti, di});
     }
   }
+  // Exact IOU ties go to the lower (track, detection) index pair, so the
+  // matching is canonical rather than whatever order the sort leaves
+  // equal keys in.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              return a.iou > b.iou;
+              if (a.iou != b.iou) return a.iou > b.iou;
+              if (a.track != b.track) return a.track < b.track;
+              return a.det < b.det;
             });
 
   std::vector<Track> next_tracks;

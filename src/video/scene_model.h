@@ -128,8 +128,8 @@ Status ValidateStreamConfig(const StreamConfig& config);
 /// Content fingerprint over every generative field of the config. Two
 /// configs share a fingerprint iff they describe the same scene, so the
 /// fingerprint (combined with seed and length) identifies a generated day —
-/// the detection store and the detector caches key on it instead of the
-/// seed alone, which collides across streams.
+/// the detection store keys on it instead of the seed alone, which
+/// collides across streams.
 uint64_t ConfigFingerprint(const StreamConfig& config);
 
 }  // namespace blazeit

@@ -50,8 +50,8 @@ class SyntheticVideo {
   /// Content fingerprint of this generated day:
   /// (ConfigFingerprint, seed, num_frames). Two SyntheticVideo instances
   /// with equal fingerprints produce identical ground truth for every
-  /// frame, so caches (detector memoization, the on-disk detection store)
-  /// key on it rather than on the seed, which is shared across streams.
+  /// frame, so the on-disk detection store keys on it rather than on the
+  /// seed, which is shared across streams.
   uint64_t fingerprint() const { return fingerprint_; }
 
   /// Timestamp of a frame in seconds (one-to-one with frames, Section 4).

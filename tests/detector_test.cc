@@ -121,20 +121,8 @@ TEST_F(DetectorTest, CachedDetectorMatchesInner) {
   auto a = cached.Detect(*video_, 42);
   auto b = inner.Detect(*video_, 42);
   ASSERT_EQ(a.size(), b.size());
-  auto c = cached.Detect(*video_, 42);  // from cache
+  auto c = cached.Detect(*video_, 42);
   ASSERT_EQ(a.size(), c.size());
-  EXPECT_EQ(cached.cache_size(), 1u);
-  cached.ClearCache();
-  EXPECT_EQ(cached.cache_size(), 0u);
-}
-
-TEST_F(DetectorTest, CacheKeyedByVideoSeed) {
-  SimulatedDetector inner;
-  CachedDetector cached(&inner);
-  auto other = SyntheticVideo::Create(TaipeiConfig(), 6, 100).value();
-  (void)cached.Detect(*video_, 10);
-  (void)cached.Detect(*other, 10);
-  EXPECT_EQ(cached.cache_size(), 2u);
 }
 
 TEST_F(DetectorTest, CacheDistinguishesSameSeedStreams) {
@@ -163,7 +151,6 @@ TEST_F(DetectorTest, CacheDistinguishesSameSeedStreams) {
       EXPECT_EQ(from_cache[i].score, direct[i].score);
     }
   }
-  EXPECT_EQ(cached.cache_size(), 60u);
 }
 
 }  // namespace

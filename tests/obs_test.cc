@@ -512,7 +512,7 @@ TEST(SharedSweepRunReadTest, PutsAndRunReadsRace) {
 // ---------------------------------------------------------------------------
 // ExecutionReport
 
-TEST(ReportTest, FillCostReconcilesWithMeterExactly) {
+TEST(ReportTest, CostReconcilesWithMeterExactly) {
   CostMeter meter;
   meter.ChargeDetection();
   meter.ChargeSpecializedNN(1000);
@@ -520,19 +520,20 @@ TEST(ReportTest, FillCostReconcilesWithMeterExactly) {
   meter.ChargeTraining(2000);
   meter.ChargeThresholding(100);
   ExecutionReport report;
-  report.FillCost(meter);
-  EXPECT_EQ(report.detection_calls, meter.detection_calls());
-  EXPECT_EQ(report.specialized_nn_calls, meter.specialized_nn_calls());
-  EXPECT_EQ(report.filter_calls, meter.filter_calls());
-  EXPECT_EQ(report.training_frames, meter.training_frames());
-  // Bit-exact, not approximate: the report is the meter's accounting.
-  EXPECT_EQ(report.detection_seconds, meter.detection_seconds());
-  EXPECT_EQ(report.specialized_nn_seconds, meter.specialized_nn_seconds());
-  EXPECT_EQ(report.filter_seconds, meter.filter_seconds());
-  EXPECT_EQ(report.training_seconds, meter.training_seconds());
-  EXPECT_EQ(report.thresholding_seconds, meter.thresholding_seconds());
-  EXPECT_EQ(report.total_seconds, meter.TotalSeconds());
-  EXPECT_EQ(report.query_seconds, meter.QuerySeconds());
+  report.cost = meter;
+  EXPECT_EQ(report.cost.detection_calls(), meter.detection_calls());
+  EXPECT_EQ(report.cost.specialized_nn_calls(), meter.specialized_nn_calls());
+  EXPECT_EQ(report.cost.filter_calls(), meter.filter_calls());
+  EXPECT_EQ(report.cost.training_frames(), meter.training_frames());
+  // Bit-exact, not approximate: the report carries the meter itself.
+  EXPECT_EQ(report.cost.detection_seconds(), meter.detection_seconds());
+  EXPECT_EQ(report.cost.specialized_nn_seconds(),
+            meter.specialized_nn_seconds());
+  EXPECT_EQ(report.cost.filter_seconds(), meter.filter_seconds());
+  EXPECT_EQ(report.cost.training_seconds(), meter.training_seconds());
+  EXPECT_EQ(report.cost.thresholding_seconds(), meter.thresholding_seconds());
+  EXPECT_EQ(report.cost.TotalSeconds(), meter.TotalSeconds());
+  EXPECT_EQ(report.cost.QuerySeconds(), meter.QuerySeconds());
 }
 
 TEST(ReportTest, TextAndJsonAreSelfContained) {
@@ -542,7 +543,7 @@ TEST(ReportTest, TextAndJsonAreSelfContained) {
   report.plan_description = "NN + control variates";
   CostMeter meter;
   meter.ChargeSpecializedNN(10);
-  report.FillCost(meter);
+  report.cost = meter;
   report.cache.frame_float_hits = 4;
   report.cache.frame_float_misses = 6;
   report.sketch.consulted = true;

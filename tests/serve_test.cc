@@ -10,7 +10,8 @@
 // Everything else here avoids NN training (naive selections, exhaustive
 // scans, shed baselines); that one aggregate trains the small NN on the
 // fixture's short days, so the suite stays in the fast lane. The
-// bit-identity sweep across pool sizes lives in serve_determinism_test.cc.
+// bit-identity sweep across pool sizes lives in
+// admission_determinism_test.cc.
 #include <gtest/gtest.h>
 
 #include <chrono>

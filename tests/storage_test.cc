@@ -31,6 +31,8 @@ namespace blazeit {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::CountingDetector;
+using testutil::ExpectSameDetections;
 
 class StorageTest : public ::testing::Test {
  protected:
@@ -77,19 +79,6 @@ std::vector<Detection> RandomDetections(Rng* rng, int count,
   return dets;
 }
 
-void ExpectSameDetections(const std::vector<Detection>& a,
-                          const std::vector<Detection>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].class_id, b[i].class_id);
-    // operator== on Rect compares exact doubles: the format must preserve
-    // every bit, not approximate.
-    EXPECT_EQ(a[i].rect, b[i].rect);
-    EXPECT_EQ(a[i].score, b[i].score);
-    EXPECT_EQ(a[i].features, b[i].features);
-  }
-}
-
 TEST_F(StorageTest, Crc32MatchesKnownVector) {
   // The canonical CRC-32 check value ("123456789" -> 0xCBF43926).
   const char* msg = "123456789";
@@ -124,6 +113,19 @@ TEST_F(StorageTest, DetectionsDecodeRejectsImpossibleCountWithoutAllocating) {
   std::string hostile(sizeof(uint32_t), '\xff');
   auto max_count = DecodeDetectionsPayload(hostile);
   EXPECT_EQ(max_count.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(StorageTest, DetectionsDecodeRejectsUnknownClassIds) {
+  // Labeled sets count detections into one slot per class, so a row
+  // whose class id names no class must fail to decode rather than reach
+  // them.
+  for (int class_id : {-1, static_cast<int>(kNumClasses), 1 << 20}) {
+    Detection det;
+    det.class_id = class_id;
+    det.score = 0.9;
+    auto decoded = DecodeDetectionsPayload(EncodeDetectionsPayload({det}));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << class_id;
+  }
 }
 
 TEST_F(StorageTest, StoreRoundTripProperty) {
@@ -380,26 +382,6 @@ TEST_F(CorruptionTest, TempFilesIgnored) {
 }
 
 // --- Store-backed CachedDetector ---
-
-/// Wrapper that counts how often the inner detector actually runs.
-class CountingDetector : public ObjectDetector {
- public:
-  explicit CountingDetector(const ObjectDetector* inner) : inner_(inner) {}
-  std::vector<Detection> Detect(const SyntheticVideo& video,
-                                int64_t frame) const override {
-    ++calls_;
-    return inner_->Detect(video, frame);
-  }
-  std::string name() const override { return inner_->name(); }
-  uint64_t ParamsFingerprint() const override {
-    return inner_->ParamsFingerprint();
-  }
-  int64_t calls() const { return calls_; }
-
- private:
-  const ObjectDetector* inner_;
-  mutable int64_t calls_ = 0;
-};
 
 TEST_F(StorageTest, PersistentDetectorReadsThroughWarmStore) {
   auto video = SyntheticVideo::Create(TaipeiConfig(), 5, 200).value();
@@ -777,6 +759,38 @@ TEST_F(StorageTest, PersistentDetectorRepairsCorruptRecordInPlace) {
   (void)detector.Detect(*video.value(), 3);
   EXPECT_EQ(detector.store_hits(), 1);
   EXPECT_EQ(detector.store_misses(), 0);
+}
+
+TEST_F(StorageTest, LabeledSetRecomputesStoredRowWithUnknownClass) {
+  // A CRC-valid stored record whose row names no class (a writer bug):
+  // the labeled set's build must recompute the frame, not count the row.
+  auto video = SyntheticVideo::Create(TaipeiConfig(), 78, 10);
+  BLAZEIT_ASSERT_OK(video.status());
+  SimulatedDetector inner;
+  {
+    auto store = DetectionStore::Open(dir_);
+    BLAZEIT_ASSERT_OK(store.status());
+    Detection alien;
+    alien.class_id = kNumClasses;
+    alien.score = 0.99;
+    BLAZEIT_ASSERT_OK(store.value()->PutRaw(
+        DetectionNamespace(*video.value(), inner), 4,
+        EncodeDetectionsPayload({alien})));
+    BLAZEIT_ASSERT_OK(store.value()->Flush());
+  }
+  auto store = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(store.status());
+  CachedDetector detector(&inner, store.value().get());
+  const double threshold = TaipeiConfig().detection_threshold;
+  LabeledSet labels(video.value().get(), &detector, threshold);
+  LabeledSet reference(video.value().get(), &inner, threshold);
+  for (int64_t t = 0; t < 10; ++t) {
+    ExpectSameDetections(labels.DetectionsAt(t), reference.DetectionsAt(t));
+  }
+  for (int c = 0; c < kNumClasses; ++c) {
+    EXPECT_EQ(labels.Counts(c), reference.Counts(c)) << "class " << c;
+  }
+  EXPECT_EQ(detector.store_misses(), 10);  // frame 4 included
 }
 
 TEST_F(StorageTest, StoreBackedDetectorHealsPoisonedRecordUnderConcurrency) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -99,6 +100,39 @@ inline ::testing::AssertionResult NearRel(double actual, double expected,
   return ::testing::AssertionFailure()
          << actual << " not within " << rel_tol << " (relative) of "
          << expected << " (allowed slack " << bound << ")";
+}
+
+/// ObjectDetector wrapper that counts how often the inner detector runs.
+/// The count is atomic, so concurrent callers may share one wrapper.
+class CountingDetector : public ObjectDetector {
+ public:
+  explicit CountingDetector(const ObjectDetector* inner) : inner_(inner) {}
+  std::vector<Detection> Detect(const SyntheticVideo& video,
+                                int64_t frame) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->Detect(video, frame);
+  }
+  std::string name() const override { return inner_->name(); }
+  uint64_t ParamsFingerprint() const override {
+    return inner_->ParamsFingerprint();
+  }
+  int64_t calls() const { return calls_.load(); }
+
+ private:
+  const ObjectDetector* inner_;
+  mutable std::atomic<int64_t> calls_{0};
+};
+
+/// Field-by-field equality of two detection lists, with exact doubles.
+inline void ExpectSameDetections(const std::vector<Detection>& a,
+                                 const std::vector<Detection>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].class_id, b[i].class_id);
+    EXPECT_EQ(a[i].rect, b[i].rect);
+    EXPECT_EQ(a[i].score, b[i].score);
+    EXPECT_EQ(a[i].features, b[i].features);
+  }
 }
 
 /// Suite-shared catalog fixture (CRTP). Generating and detecting the

@@ -136,17 +136,18 @@ TEST_F(TraceDeterminismTest, ReportReconcilesWithMeterAndTraceValidates) {
     const CostMeter& cost = cap.out.cost;
     // Bit-exact reconciliation, not approximate: the report *is* the
     // meter's accounting.
-    EXPECT_EQ(report.detection_calls, cost.detection_calls());
-    EXPECT_EQ(report.specialized_nn_calls, cost.specialized_nn_calls());
-    EXPECT_EQ(report.filter_calls, cost.filter_calls());
-    EXPECT_EQ(report.training_frames, cost.training_frames());
-    EXPECT_EQ(report.detection_seconds, cost.detection_seconds());
-    EXPECT_EQ(report.specialized_nn_seconds, cost.specialized_nn_seconds());
-    EXPECT_EQ(report.filter_seconds, cost.filter_seconds());
-    EXPECT_EQ(report.training_seconds, cost.training_seconds());
-    EXPECT_EQ(report.thresholding_seconds, cost.thresholding_seconds());
-    EXPECT_EQ(report.total_seconds, cost.TotalSeconds());
-    EXPECT_EQ(report.query_seconds, cost.QuerySeconds());
+    EXPECT_EQ(report.cost.detection_calls(), cost.detection_calls());
+    EXPECT_EQ(report.cost.specialized_nn_calls(), cost.specialized_nn_calls());
+    EXPECT_EQ(report.cost.filter_calls(), cost.filter_calls());
+    EXPECT_EQ(report.cost.training_frames(), cost.training_frames());
+    EXPECT_EQ(report.cost.detection_seconds(), cost.detection_seconds());
+    EXPECT_EQ(report.cost.specialized_nn_seconds(),
+              cost.specialized_nn_seconds());
+    EXPECT_EQ(report.cost.filter_seconds(), cost.filter_seconds());
+    EXPECT_EQ(report.cost.training_seconds(), cost.training_seconds());
+    EXPECT_EQ(report.cost.thresholding_seconds(), cost.thresholding_seconds());
+    EXPECT_EQ(report.cost.TotalSeconds(), cost.TotalSeconds());
+    EXPECT_EQ(report.cost.QuerySeconds(), cost.QuerySeconds());
     EXPECT_FALSE(report.plan.empty());
     EXPECT_EQ(report.batch_group, -1);  // standalone run
 
@@ -197,7 +198,8 @@ TEST_F(TraceDeterminismTest, BatchSpanStructureMatchesSerial) {
     EXPECT_EQ(out.scalar, serial[i].out.scalar);
     EXPECT_EQ(out.frames, serial[i].out.frames);
     EXPECT_EQ(out.cost.TotalSeconds(), serial[i].out.cost.TotalSeconds());
-    EXPECT_EQ(out.report->total_seconds, serial[i].out.cost.TotalSeconds());
+    EXPECT_EQ(out.report->cost.TotalSeconds(),
+              serial[i].out.cost.TotalSeconds());
   }
 }
 

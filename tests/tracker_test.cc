@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace blazeit {
 namespace {
 
@@ -60,6 +62,19 @@ TEST(IouTrackerTest, GreedyPrefersHigherIou) {
       tracker.Update({MakeDet(kCar, 0.10, 0.10), MakeDet(kCar, 0.36, 0.10)});
   EXPECT_EQ(next[0], ids[0]);
   EXPECT_EQ(next[1], ids[1]);
+}
+
+TEST(IouTrackerTest, ExactIouTiesMatchInTrackThenDetectionOrder) {
+  // Five identical open tracks and four identical detections give 20
+  // candidates at IOU 1, more than std::sort's insertion-sort cutoff, so
+  // only the comparator's tie-break fixes which track each detection
+  // keeps: detection i takes track i.
+  IouTracker tracker;
+  const Detection box = MakeDet(kCar, 0.3, 0.3);
+  EXPECT_EQ(tracker.Update(std::vector<Detection>(5, box)),
+            (std::vector<int64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(tracker.Update(std::vector<Detection>(4, box)),
+            (std::vector<int64_t>{1, 2, 3, 4}));
 }
 
 TEST(IouTrackerTest, ResetForgetsTracks) {

@@ -67,8 +67,14 @@ def directions(benchmark):
     return out
 
 
+def sim_costs_agree(b, h):
+    """Whether two SIM_COST values differ by no more than its drift."""
+    return abs(h - b) <= SIM_REL_TOL * max(abs(b), abs(h))
+
+
 def wins(pairs, metric, better):
-    """(head wins, pairs with the metric on both sides). A tie is no win."""
+    """(head wins, pairs with the metric on both sides). A tie is no win,
+    and SIM_COST values that agree within its drift tie."""
     won = total = 0
     for p in pairs:
         b = p["base"]["metrics"].get(metric)
@@ -76,6 +82,8 @@ def wins(pairs, metric, better):
         if b is None or h is None:
             continue
         total += 1
+        if metric == SIM_COST and sim_costs_agree(b, h):
+            continue
         if (h > b) if better == "higher" else (h < b):
             won += 1
     return won, total
@@ -122,8 +130,7 @@ def paper_cost_check(pairs):
         b, h = base.get(SIM_COST), head.get(SIM_COST)
         if b == h:
             exact += 1
-        elif b is None or h is None or \
-                abs(h - b) > SIM_REL_TOL * max(abs(b), abs(h)):
+        elif b is None or h is None or not sim_costs_agree(b, h):
             bad.append((i, SIM_COST, b, h))
         mismatches += bad
         equal += not bad

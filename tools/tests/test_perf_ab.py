@@ -43,6 +43,16 @@ class WinsTest(unittest.TestCase):
         self.assertEqual(perf_ab.wins(pairs, "q", "higher"), (1, 3))
         self.assertEqual(perf_ab.wins(pairs, "q", "lower"), (1, 3))
 
+    def test_sim_cost_drift_is_a_tie(self):
+        sim = perf_ab.SIM_COST
+        pairs = [pair(side(**{sim: 743.3190000000002}),
+                      side(**{sim: 743.3190000000001})),
+                 pair(side(**{sim: 743.319}), side(**{sim: 743.318}))]
+        self.assertEqual(perf_ab.wins(pairs, sim, "lower"), (1, 2))
+        # Other metrics keep comparing raw values.
+        pairs = [pair(side(q=743.3190000000001), side(q=743.3190000000002))]
+        self.assertEqual(perf_ab.wins(pairs, "q", "higher"), (1, 1))
+
     def test_missing_metric_is_not_counted(self):
         pairs = [pair(side(q=1.0), side()), pair(side(q=1.0), side(q=2.0))]
         self.assertEqual(perf_ab.wins(pairs, "q", "higher"), (1, 1))
