@@ -200,6 +200,20 @@ print("artifacts valid:", ", ".join(sys.argv[1:]))' \
     "${ARTIFACT_DIR}/query_report.json" \
     "${ARTIFACT_DIR}/query_trace.json" \
     "${ARTIFACT_DIR}/metrics_snapshot.json"
+  # The report's plan is the one the aggregation executor ran: its label,
+  # and the Algorithm 1 branch its description names must match the
+  # estimate span in its trace. Gating.
+  python3 - "${ARTIFACT_DIR}/query_report.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["plan"] == "specialized-aggregation", report["plan"]
+desc = report["plan_description"]
+branches = [b for b in ("query-rewrite", "control-variates") if b in desc]
+assert len(branches) == 1, desc
+spans = {e["name"] for e in report["trace"]["traceEvents"]}
+assert "estimate:" + branches[0] in spans, (branches[0], sorted(spans))
+print("report plan valid:", report["plan"], "->", branches[0])
+EOF
 
   # A write that fails (here: a full device) must fail the command rather
   # than leave a truncated artifact behind an exit 0. Gating.

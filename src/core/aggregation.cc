@@ -7,7 +7,7 @@
 #include "stats/control_variates.h"
 #include "stats/online_stats.h"
 #include "stats/sampler.h"
-#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 
@@ -57,6 +57,7 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
     // predicate, so the count over the range is exactly 0 — consistent
     // with the empty results the other executors return, and free.
     AggregateResult empty;
+    empty.plan = "empty time range: no frame to count";
     return empty;
   }
   CostMeter meter;
@@ -69,10 +70,15 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
     if (c > 0) ++positives;
   }
   if (positives < kMinPositiveExamples) {
-    BLAZEIT_LOG(kDebug) << "insufficient training data for class "
-                        << ClassName(class_id) << " (" << positives
-                        << " positive frames); defaulting to AQP";
-    return RunPlainAqp(class_id, error, confidence, window, meter);
+    BLAZEIT_ASSIGN_OR_RETURN(
+        AggregateResult aqp,
+        RunPlainAqp(class_id, error, confidence, window, meter));
+    aqp.plan = StrFormat(
+        "aggregate with error tolerance %.3g; %lld positive training frames "
+        "(under %lld) -> plain AQP",
+        error, static_cast<long long>(positives),
+        static_cast<long long>(kMinPositiveExamples));
+    return aqp;
   }
 
   // --- train the specialized counting NN on the labeled day ---
@@ -130,6 +136,10 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
 
   AggregateResult result;
   result.nn_error_bound = nn_bootstrap_->error_quantile;
+  result.plan = StrFormat(
+      "aggregate with error tolerance %.3g; %lld positive training frames "
+      "-> specialized NN (Algorithm 1); held-out error bound %.3g",
+      error, static_cast<long long>(positives), result.nn_error_bound);
 
   // --- Algorithm 1 branch: rewrite if the NN is provably accurate ---
   if (options_.allow_query_rewrite && nn_bootstrap_->error_quantile < error) {
@@ -138,6 +148,7 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
     for (float v : nn_counts_) stats.Add(v);
     result.estimate = stats.Mean();
     result.method = AggregateMethod::kQueryRewrite;
+    result.plan += " < tolerance -> query-rewrite";
     result.cost = meter;
     result.detection_calls = meter.detection_calls();
     return result;
@@ -178,6 +189,9 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
 
   result.estimate = estimate.value().estimate;
   result.method = AggregateMethod::kControlVariates;
+  result.plan += options_.allow_query_rewrite
+                     ? " >= tolerance -> control-variates"
+                     : " (query rewrite disabled) -> control-variates";
   result.samples_used = estimate.value().samples_used;
   result.nn_correlation = corr.Correlation();
   result.cost = meter;

@@ -2,6 +2,7 @@
 #define BLAZEIT_CORE_AGGREGATION_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/catalog.h"
@@ -21,7 +22,8 @@ class QueryTrace;  // obs/trace.h
 enum class AggregateMethod {
   kQueryRewrite,     // specialized NN accurate enough; ran it alone
   kControlVariates,  // NN as control variate + detector sampling
-  kPlainAqp,         // no/insufficient training data: naive AQP
+  kPlainAqp,         // insufficient training data or an empty window:
+                     // naive AQP
 };
 
 const char* AggregateMethodName(AggregateMethod method);
@@ -38,6 +40,9 @@ struct AggregateResult {
   /// Frame-averaged count estimate (FCOUNT semantics).
   double estimate = 0.0;
   AggregateMethod method = AggregateMethod::kPlainAqp;
+  /// Why Algorithm 1 took `method`: the positive training frames and, when
+  /// a NN was trained, its held-out error bound against the tolerance.
+  std::string plan;
   /// Simulated cost of the run (the paper's runtime).
   CostMeter cost;
   /// Object-detection calls consumed (sample complexity).

@@ -2,23 +2,13 @@
 
 #include <algorithm>
 
+#include "core/scrubbing.h"
 #include "stats/sampler.h"
 #include "util/random.h"
 
 namespace blazeit {
 
 namespace {
-
-bool FrameSatisfies(StreamData* stream, int64_t frame,
-                    const std::vector<ClassCountRequirement>& reqs) {
-  for (const ClassCountRequirement& req : reqs) {
-    if (stream->test_labels->Counts(req.class_id)[static_cast<size_t>(
-            frame)] < req.min_count) {
-      return false;
-    }
-  }
-  return true;
-}
 
 bool OraclePresence(StreamData* stream, int64_t frame,
                     const std::vector<ClassCountRequirement>& reqs) {
@@ -103,7 +93,7 @@ ScrubBaselineResult ScanScrub(StreamData* stream,
     if (last_accepted >= 0 && gap > 0 && t - last_accepted < gap) continue;
     if (use_presence_oracle && !OraclePresence(stream, t, reqs)) continue;
     out.cost.ChargeDetection();
-    if (FrameSatisfies(stream, t, reqs)) {
+    if (SatisfiesRequirements(*stream, t, reqs)) {
       out.frames.push_back(t);
       last_accepted = t;
     }

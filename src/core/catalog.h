@@ -48,8 +48,6 @@ struct StreamData {
   /// catalog).
   DetectionStore* detection_store = nullptr;
   uint64_t test_detections_ns = 0;
-
-  double score_threshold() const { return config.detection_threshold; }
 };
 
 /// Number of frames generated for each of a stream's three days.

@@ -213,21 +213,13 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     }
   }
 
-  PlanChoice plan;
-  {
-    obs::TraceSpan span(trace.get(), "optimize");
-    plan = ChoosePlan(query, stream);
-  }
-  BLAZEIT_LOG(kDebug).Field("cid", prepared.correlation_id)
-      << "plan: " << PlanKindName(plan.kind) << " — " << plan.rationale;
-
   QueryOutput out;
   out.kind = query.kind;
-  out.plan = plan.kind;
-  out.plan_description = plan.rationale;
 
+  // The executor picks the plan as it runs, so the span is named for the
+  // query kind.
   const std::string execute_label =
-      std::string("execute:") + PlanKindName(plan.kind);
+      std::string("execute:") + QueryKindName(query.kind);
   obs::TraceSpan execute_span(trace.get(), execute_label.c_str());
 
   Result<QueryOutput> executed = [&]() -> Result<QueryOutput> {
@@ -243,6 +235,10 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
             AggregateResult agg,
             executor.Run(query.agg_class, query.error, query.confidence,
                          window));
+        out.plan = agg.method == AggregateMethod::kPlainAqp
+                       ? PlanKind::kAqpAggregation
+                       : PlanKind::kSpecializedAggregation;
+        out.plan_description = std::move(agg.plan);
         out.scalar = agg.estimate;
         if (query.scale_to_total) {
           // COUNT(*) scales the frame-averaged estimate by the number of
@@ -260,13 +256,15 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
             FrameWindow window,
             ResolveFrameWindow(query, stream->config.fps,
                                stream->test_day->num_frames()));
-        ScrubOptions scrub_options = options_.scrub;
-        scrub_options.use_store_index |= options_.use_store_index;
-        ScrubbingExecutor executor(stream, scrub_options, view, trace.get());
+        ScrubbingExecutor executor(stream, options_.scrub, view, trace.get(),
+                                   options_.use_store_index);
         BLAZEIT_ASSIGN_OR_RETURN(
             ScrubResult scrub,
             executor.Run(query.requirements, query.limit, query.gap,
                          window));
+        out.plan = scrub.fell_back_to_scan ? PlanKind::kScanScrubbing
+                                           : PlanKind::kImportanceScrubbing;
+        out.plan_description = std::move(scrub.plan);
         out.frames = scrub.frames;
         out.cost = scrub.cost;
         if (report != nullptr) report->sketch = scrub.sketch;
@@ -276,12 +274,13 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
         SelectionExecutor executor(stream, &udfs_, options_.selection,
                                    view, trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(SelectionResult sel, executor.Run(query));
+        out.plan = PlanKind::kFilteredSelection;
+        out.plan_description = std::move(sel.plan);
         out.rows = std::move(sel.rows);
         for (const SelectionEvent& event : sel.events) {
           out.frames.push_back(event.first_frame);
         }
         out.cost = sel.cost;
-        out.plan_description += " | " + sel.plan;
         return out;
       }
       case QueryKind::kBinarySelect:
@@ -294,6 +293,9 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
   if (!executed.ok()) return executed;
 
   QueryOutput result = std::move(executed).value();
+  BLAZEIT_LOG(kDebug).Field("cid", prepared.correlation_id)
+      << "plan: " << PlanKindName(result.plan) << " — "
+      << result.plan_description;
   if (report != nullptr) {
     report->plan = PlanKindName(result.plan);
     report->plan_description = result.plan_description;
@@ -315,6 +317,9 @@ Result<QueryOutput> BlazeItEngine::ExecuteCountDistinct(
   QueryOutput out;
   out.kind = query.kind;
   out.plan = PlanKind::kTrackerCountDistinct;
+  out.plan_description =
+      "COUNT(DISTINCT trackid) resolves entities across consecutive frames "
+      "-> detector + motion-IOU tracker over the whole range";
   BLAZEIT_ASSIGN_OR_RETURN(
       FrameWindow window,
       ResolveFrameWindow(query, stream->config.fps,
@@ -357,9 +362,27 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
   // verifies everything the NN lets through, so false positives are
   // eliminated and the false-negative rate is controlled by calibrating
   // the NN threshold on the held-out day.
+  // The training-data check comes first (it is uncharged), so an empty
+  // range reports the plan a non-empty one would run.
+  const std::vector<int>& train_counts =
+      stream->train_labels->Counts(query.sel_class);
+  int64_t positives = 0;
+  for (int c : train_counts) {
+    if (c > 0) ++positives;
+  }
   QueryOutput out;
   out.kind = query.kind;
-  out.plan = PlanKind::kBinaryDetection;
+  out.plan = positives == 0 ? PlanKind::kFullScan : PlanKind::kBinaryDetection;
+  out.plan_description =
+      positives == 0
+          ? StrFormat("binary detection with FNR<=%.3g FPR<=%.3g; no positive "
+                      "training frame -> detector on every frame",
+                      query.fnr, query.fpr)
+          : StrFormat("binary detection with FNR<=%.3g FPR<=%.3g; %lld "
+                      "positive training frames -> specialized-NN filter "
+                      "calibrated for no held-out false negatives, detector "
+                      "verifies what passes",
+                      query.fnr, query.fpr, static_cast<long long>(positives));
   const SyntheticVideo& test = *stream->test_day;
   BLAZEIT_ASSIGN_OR_RETURN(
       FrameWindow window,
@@ -369,12 +392,6 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
   // empty results of the other executors.
   if (window.end <= window.begin) return out;
 
-  const std::vector<int>& train_counts =
-      stream->train_labels->Counts(query.sel_class);
-  int64_t positives = 0;
-  for (int c : train_counts) {
-    if (c > 0) ++positives;
-  }
   const std::vector<int>& test_counts =
       stream->test_labels->Counts(query.sel_class);
   if (positives == 0) {
@@ -443,6 +460,7 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
   QueryOutput out;
   out.kind = query.kind;
   out.plan = PlanKind::kFullScan;
+  out.plan_description = "no optimization applies; full detection scan";
   // The scan is exhaustive, not unconditional: every analyzed predicate
   // still restricts the result (Prepare has refused the content UDFs this
   // plan does not evaluate).

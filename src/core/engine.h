@@ -50,6 +50,7 @@ struct EngineOptions {
 /// Everything a FrameQL query can return.
 struct QueryOutput {
   QueryKind kind = QueryKind::kExhaustive;
+  /// The plan that ran, as the executor that chose it reports it.
   PlanKind plan = PlanKind::kFullScan;
   /// Aggregates: the (frame-averaged or total) count estimate.
   double scalar = 0.0;
@@ -59,7 +60,11 @@ struct QueryOutput {
   std::vector<SelectionRow> rows;
   /// Simulated cost of executing the query.
   CostMeter cost;
-  /// The optimizer's plan description.
+  /// Why the executor ran `plan`: the positive or matching training
+  /// frames, the held-out error bound against the tolerance, the deployed
+  /// filters, the FNR/FPR targets. It cites nothing that store
+  /// temperature, the sketch index, the pool size or batching change, so
+  /// it is as deterministic as the answer.
   std::string plan_description;
   /// EXPLAIN-style report (null unless EngineOptions::collect_reports).
   /// Shared so outputs stay copyable.
@@ -80,7 +85,8 @@ struct PreparedQuery {
 };
 
 /// The BlazeIt engine: the public entry point tying everything together.
-/// Parse -> analyze -> rule-based plan choice -> execute (Figure 2).
+/// Parse -> analyze -> execute (Figure 2). The optimizer's rules live in
+/// the executors, each of which reports the plan it ran.
 ///
 ///   VideoCatalog catalog;
 ///   catalog.AddStream(TaipeiConfig());
@@ -96,7 +102,7 @@ class BlazeItEngine {
   BlazeItEngine(const BlazeItEngine&) = delete;
   BlazeItEngine& operator=(const BlazeItEngine&) = delete;
 
-  /// Parses, optimizes, and executes one FrameQL query.
+  /// Parses, analyzes, and executes one FrameQL query.
   Result<QueryOutput> Execute(const std::string& frameql);
 
   /// Parses, binds, and analyzes one query without executing it. A WHERE
@@ -108,8 +114,8 @@ class BlazeItEngine {
   Result<PreparedQuery> Prepare(const std::string& frameql,
                                 obs::QueryTrace* trace = nullptr);
 
-  /// The back half of Execute: plan choice + dispatch of a prepared
-  /// query. `view` is the executors' artifact cache and `batch_group` the
+  /// The back half of Execute: dispatch of a prepared query to the
+  /// executor for its kind, which picks the plan. `view` is the executors' artifact cache and `batch_group` the
   /// query's shared-plan group when the admission queue runs it in a
   /// window (so a group shares NN sweeps); standalone execution passes
   /// nullptr and -1, and the executors read the stream's artifact cache —

@@ -1,7 +1,6 @@
 #include "core/optimizer.h"
 
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace blazeit {
 
@@ -25,124 +24,6 @@ const char* PlanKindName(PlanKind kind) {
       return "full-scan";
   }
   return "?";
-}
-
-namespace {
-
-int64_t PositiveTrainingFrames(StreamData* stream, int class_id) {
-  int64_t positives = 0;
-  for (int c : stream->train_labels->Counts(class_id)) {
-    if (c > 0) ++positives;
-  }
-  return positives;
-}
-
-int64_t JointTrainingInstances(StreamData* stream,
-                               const std::vector<ClassCountRequirement>& reqs) {
-  int64_t instances = 0;
-  for (int64_t t = 0; t < stream->train_day->num_frames(); ++t) {
-    bool match = true;
-    for (const ClassCountRequirement& req : reqs) {
-      if (stream->train_labels->Counts(req.class_id)[static_cast<size_t>(
-              t)] < req.min_count) {
-        match = false;
-        break;
-      }
-    }
-    if (match) ++instances;
-  }
-  return instances;
-}
-
-/// "; sketch-answerable: …" suffix for the plan rationale. Derived from
-/// the query's analyzer annotation only (never from whether an index
-/// actually exists), so plan descriptions are identical with and without
-/// a store.
-std::string SketchAnnotation(const AnalyzedQuery& query) {
-  const SketchSupport& s = query.sketch;
-  if (!s.any()) return "";
-  std::string conjuncts;
-  if (s.class_counts) conjuncts += " class-counts";
-  if (s.class_presence) conjuncts += " class-presence";
-  if (s.roi) conjuncts += " roi";
-  if (s.min_area) conjuncts += " min-area";
-  if (s.any_detection) conjuncts += " any-detection";
-  return StrFormat("; sketch-answerable:%s", conjuncts.c_str());
-}
-
-}  // namespace
-
-PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream) {
-  PlanChoice choice;
-  switch (query.kind) {
-    case QueryKind::kAggregate: {
-      int64_t positives = PositiveTrainingFrames(stream, query.agg_class);
-      if (positives >= 50) {
-        choice.kind = PlanKind::kSpecializedAggregation;
-        choice.rationale = StrFormat(
-            "aggregate with error tolerance %.3g; %lld positive training "
-            "frames -> train specialized NN (Algorithm 1)",
-            query.error, static_cast<long long>(positives));
-      } else {
-        choice.kind = PlanKind::kAqpAggregation;
-        choice.rationale = StrFormat(
-            "aggregate, but only %lld positive training frames -> plain AQP",
-            static_cast<long long>(positives));
-      }
-      return choice;
-    }
-    case QueryKind::kCountDistinct:
-      choice.kind = PlanKind::kTrackerCountDistinct;
-      choice.rationale =
-          "COUNT(DISTINCT trackid) requires entity resolution over every "
-          "frame -> detector + motion-IOU tracker" +
-          SketchAnnotation(query);
-      return choice;
-    case QueryKind::kScrubbing: {
-      int64_t instances = JointTrainingInstances(stream, query.requirements);
-      if (instances > 0) {
-        choice.kind = PlanKind::kImportanceScrubbing;
-        choice.rationale =
-            StrFormat(
-                "scrubbing with LIMIT %lld; %lld matching training frames -> "
-                "importance sampling on specialized-NN confidence",
-                static_cast<long long>(query.limit),
-                static_cast<long long>(instances)) +
-            SketchAnnotation(query);
-      } else {
-        choice.kind = PlanKind::kScanScrubbing;
-        choice.rationale =
-            "scrubbing, but no matching frames in the training set -> "
-            "sequential scan with applicable filters" +
-            SketchAnnotation(query);
-      }
-      return choice;
-    }
-    case QueryKind::kSelection: {
-      choice.kind = PlanKind::kFilteredSelection;
-      std::string filters;
-      if (query.persistence_frames > 2) filters += " temporal";
-      if (query.has_roi) filters += " spatial";
-      if (!query.udf_predicates.empty()) filters += " content";
-      filters += " label";
-      choice.rationale = StrFormat(
-          "content-based selection; inferred filter classes:%s",
-          filters.c_str());
-      return choice;
-    }
-    case QueryKind::kBinarySelect:
-      choice.kind = PlanKind::kBinaryDetection;
-      choice.rationale = StrFormat(
-          "binary detection with FNR<=%.3g FPR<=%.3g (NoScope replication)",
-          query.fnr, query.fpr);
-      return choice;
-    case QueryKind::kExhaustive:
-      choice.kind = PlanKind::kFullScan;
-      choice.rationale = "no optimization applies; full detection scan" +
-                         SketchAnnotation(query);
-      return choice;
-  }
-  return choice;
 }
 
 uint64_t SharedSweepGroupKey(const AnalyzedQuery& query, size_t query_index) {

@@ -3,14 +3,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
-#include "core/catalog.h"
 #include "frameql/analyzer.h"
 
 namespace blazeit {
 
-/// The physical plan the rule-based optimizer picked for a query.
+/// The physical plan that ran a query. BlazeIt's optimizer is rule-based
+/// (Section 5), and each rule lives in the executor it governs: Algorithm
+/// 1's training-data test in AggregationExecutor, the scrubbing fallback
+/// in ScrubbingExecutor, the filter choices in SelectionExecutor. So the
+/// plan is known once the query has run, and QueryOutput::plan reports it.
 enum class PlanKind {
   kSpecializedAggregation,  // Algorithm 1 (rewrite or control variates)
   kAqpAggregation,          // no training data: plain sampling
@@ -23,19 +25,6 @@ enum class PlanKind {
 };
 
 const char* PlanKindName(PlanKind kind);
-
-struct PlanChoice {
-  PlanKind kind = PlanKind::kFullScan;
-  /// Human-readable justification, e.g. "aggregation with error tolerance;
-  /// 8123 positive training frames -> specialize".
-  std::string rationale;
-};
-
-/// BlazeIt's rule-based optimizer (Section 5): inspects the analyzed query
-/// and the stream's training data to choose a plan. Cheap filters are
-/// almost always worth deploying (a 100,000 fps filter pays for itself by
-/// discarding 0.003% of frames), so rules rather than cost search suffice.
-PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream);
 
 /// The shared-plan pass of multi-query batching: maps an analyzed query
 /// to the key of the batch group it executes in. Two queries get the same

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "exec/parallel_for.h"
-#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 
@@ -138,11 +138,13 @@ SketchProbe RequirementsProbe(
 
 ScrubbingExecutor::ScrubbingExecutor(StreamData* stream, ScrubOptions options,
                                      ArtifactCache* sweep_cache,
-                                     obs::QueryTrace* trace)
+                                     obs::QueryTrace* trace,
+                                     bool use_store_index)
     : stream_(stream),
       cache_(sweep_cache != nullptr ? sweep_cache : stream->artifact_cache),
       options_(options),
-      trace_(trace) {}
+      trace_(trace),
+      use_store_index_(use_store_index) {}
 
 Result<ScrubResult> ScrubbingExecutor::Run(
     const std::vector<ClassCountRequirement>& reqs, int64_t limit,
@@ -151,29 +153,11 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     return Status::InvalidArgument("scrubbing needs at least one class");
   if (limit <= 0) return Status::InvalidArgument("limit must be positive");
   window = ClampFrameWindow(window, stream_->test_day->num_frames());
-  if (window.end <= window.begin) {
-    // Range entirely past the recorded day: zero frames match; return
-    // empty (and free) rather than training an NN to discover that.
-    ScrubResult empty;
-    empty.scan_exhausted = true;
-    return empty;
-  }
-  CostMeter meter;
-
-  // --- sketch consultation (opt-in): candidate subranges of the window ---
-  ScrubResult result;
-  const std::vector<SketchIndex::FrameRange> candidates =
-      SketchCandidates(*stream_, options_.use_store_index, window,
-                       RequirementsProbe(reqs), &result.sketch);
-  const bool pruned = result.sketch.pruned;
-  if (candidates.empty()) {
-    // Every segment of the window is provably free of matches.
-    result.scan_exhausted = true;
-    return result;
-  }
 
   // --- training-data check (Section 7.1): any instance in the train day?
-  // Sharded count scan; the sum folds in shard order (exact integers).
+  // Uncharged, and made before the shortcuts below so that they report
+  // the plan the unindexed run takes. Sharded count scan; the sum folds in
+  // shard order (exact integers).
   std::vector<const std::vector<int>*> train_counts;
   train_counts.reserve(reqs.size());
   for (const ClassCountRequirement& req : reqs) {
@@ -198,11 +182,41 @@ Result<ScrubResult> ScrubbingExecutor::Run(
       });
   int64_t train_instances = 0;
   for (int64_t count : shard_instances) train_instances += count;
-  if (train_instances == 0) {
-    BLAZEIT_LOG(kDebug) << "no instances of the scrubbing query in the "
-                           "training set; falling back to sequential scan";
+  ScrubResult result;
+  result.fell_back_to_scan = train_instances == 0;
+  result.plan =
+      result.fell_back_to_scan
+          ? StrFormat("scrubbing with LIMIT %lld; no matching frame in the "
+                      "training day -> sequential scan",
+                      static_cast<long long>(limit))
+          : StrFormat("scrubbing with LIMIT %lld; %lld matching training "
+                      "frames -> importance sampling on specialized-NN "
+                      "confidence",
+                      static_cast<long long>(limit),
+                      static_cast<long long>(train_instances));
+
+  if (window.end <= window.begin) {
+    // Range entirely past the recorded day: zero frames match; return
+    // empty (and free) rather than training an NN to discover that.
+    result.scan_exhausted = true;
+    return result;
+  }
+  CostMeter meter;
+
+  // --- sketch consultation (opt-in): candidate subranges of the window ---
+  const std::vector<SketchIndex::FrameRange> candidates =
+      SketchCandidates(*stream_, use_store_index_, window,
+                       RequirementsProbe(reqs), &result.sketch);
+  const bool pruned = result.sketch.pruned;
+  if (candidates.empty()) {
+    // Every segment of the window is provably free of matches.
+    result.scan_exhausted = true;
+    return result;
+  }
+  if (result.fell_back_to_scan) {
     ScrubResult fallback = ScanRanges(reqs, limit, gap, candidates);
     fallback.fell_back_to_scan = true;
+    fallback.plan = std::move(result.plan);
     fallback.sketch = result.sketch;
     return fallback;
   }
@@ -294,7 +308,7 @@ Result<ScrubResult> ScrubbingExecutor::Scan(
   window = ClampFrameWindow(window, stream_->test_day->num_frames());
   obs::SketchStats sketch;
   const std::vector<SketchIndex::FrameRange> candidates =
-      SketchCandidates(*stream_, options_.use_store_index, window,
+      SketchCandidates(*stream_, use_store_index_, window,
                        RequirementsProbe(reqs), &sketch);
   ScrubResult result = ScanRanges(reqs, limit, gap, candidates);
   result.sketch = sketch;

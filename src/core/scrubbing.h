@@ -1,6 +1,7 @@
 #ifndef BLAZEIT_CORE_SCRUBBING_H_
 #define BLAZEIT_CORE_SCRUBBING_H_
 
+#include <string>
 #include <vector>
 
 #include "core/catalog.h"
@@ -16,14 +17,6 @@ namespace blazeit {
 struct ScrubOptions {
   SpecializedNNConfig nn;
   uint64_t seed = 1;
-  /// Consult the detection store's per-segment sketches (see
-  /// storage/segment_sketch.h) to skip provably non-matching segments:
-  /// the NN scores, and the detector verifies, only sketch-candidate
-  /// frames, and the scan fallback skips refuted segments too. Returned
-  /// frames are bit-identical to the unindexed run — only the charged
-  /// NN/detector calls drop. A no-op unless the stream is store-backed
-  /// and sketches are built and current.
-  bool use_store_index = false;
 };
 
 struct ScrubResult {
@@ -48,6 +41,9 @@ struct ScrubResult {
   /// True when the training day had no instances of the query and the
   /// executor fell back to a sequential scan (Section 7.1).
   bool fell_back_to_scan = false;
+  /// Why Run took its path: the matching training frames, or their
+  /// absence. Empty after Scan.
+  std::string plan;
   /// Sketch-index activity, for the query's ExecutionReport.
   obs::SketchStats sketch;
 };
@@ -64,10 +60,16 @@ class ScrubbingExecutor {
   /// stream's artifact cache (the admission queue hands each query's
   /// SweepCacheView in here so a shared-plan group shares NN sweeps);
   /// nullptr keeps the stream's persistent cache. `trace` (nullable)
-  /// receives train/sweep/verify stage spans.
+  /// receives train/sweep/verify stage spans. `use_store_index` consults
+  /// the store's per-segment sketches (see SketchCandidates): the NN
+  /// scores, and the detector verifies, only sketch-candidate frames, and
+  /// the scan skips refuted segments too. Returned frames are
+  /// bit-identical to the unindexed run; only the charged NN and detector
+  /// calls drop.
   ScrubbingExecutor(StreamData* stream, ScrubOptions options = {},
                     ArtifactCache* sweep_cache = nullptr,
-                    obs::QueryTrace* trace = nullptr);
+                    obs::QueryTrace* trace = nullptr,
+                    bool use_store_index = false);
 
   /// Finds LIMIT matching frames among the test-day frames in `window`
   /// (default: the whole day).
@@ -95,6 +97,7 @@ class ScrubbingExecutor {
   ArtifactCache* cache_;
   ScrubOptions options_;
   obs::QueryTrace* trace_;
+  bool use_store_index_;
 };
 
 /// True if the frame's per-class counts satisfy every requirement.

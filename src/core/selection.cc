@@ -119,7 +119,7 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
                          stream_->test_day->num_frames()));
   if (window.end <= window.begin) {
     SelectionResult empty;
-    empty.plan = "empty time range";
+    empty.plan = "content-based selection; empty time range";
     return empty;
   }
   BLAZEIT_RETURN_NOT_OK(temporal.SetTimeRange(window.begin, window.end));
@@ -312,8 +312,11 @@ Result<SelectionResult> SelectionExecutor::Run(const AnalyzedQuery& query) {
     }
   }
   result.cost = meter;
-  result.plan = plan_parts.empty() ? "naive (no applicable filters)"
-                                   : Join(plan_parts, " ");
+  result.plan = plan_parts.empty()
+                    ? "content-based selection; no filter deployed -> "
+                      "detector on every frame in range"
+                    : "content-based selection; deployed filters: " +
+                          Join(plan_parts, " ");
   return result;
 }
 

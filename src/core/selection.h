@@ -52,8 +52,9 @@ struct SelectionResult {
   int64_t frames_detected = 0;
   /// Candidate frames after temporal filtering.
   int64_t candidates = 0;
-  /// Which filters the optimizer actually deployed, e.g.
-  /// "temporal(stride=7) content(redness>=0.021) label(th=0.83) spatial".
+  /// The plan description: which filters the executor deployed, e.g.
+  /// "content-based selection; deployed filters: temporal(stride=7)
+  /// content(redness>=0.0210, sel=0.40) label(th=0.830, sel=0.12)".
   std::string plan;
 };
 

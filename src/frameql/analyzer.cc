@@ -78,46 +78,8 @@ Result<int> MinCountFromComparison(CmpOp op, double value) {
 
 }  // namespace
 
-SketchSupport ComputeSketchSupport(const AnalyzedQuery& query) {
-  SketchSupport s;
-  switch (query.kind) {
-    case QueryKind::kScrubbing:
-      // The importance ranking and the scan fallback both verify frames
-      // against the class-count requirements, which sketches bound.
-      s.class_counts = !query.requirements.empty();
-      break;
-    case QueryKind::kCountDistinct:
-      // A segment with no detections of the counted class cannot open or
-      // extend a track; skipping it only resets open tracks, which empty
-      // frames do anyway.
-      s.class_presence = true;
-      break;
-    case QueryKind::kExhaustive:
-      s.class_counts = !query.requirements.empty();
-      s.class_presence = query.sel_class >= 0;
-      s.roi = query.has_roi;
-      s.min_area = query.min_area_px > 0;
-      // With no predicates at all, the scan returns frames with any
-      // detection — which the class histograms bound too.
-      s.any_detection = !s.class_counts && !s.class_presence && !s.roi &&
-                        !s.min_area && query.udf_predicates.empty();
-      break;
-    case QueryKind::kAggregate:
-    case QueryKind::kSelection:
-    case QueryKind::kBinarySelect:
-      // Sampling-based estimators and calibrated filters depend on the
-      // full frame population; segment skipping would bias them.
-      break;
-  }
-  return s;
-}
-
-namespace {
-
-/// AnalyzeQuery body; the public wrapper annotates sketch support on the
-/// classified result (one place instead of one per return path).
-Result<AnalyzedQuery> AnalyzeQueryImpl(const FrameQLQuery& query,
-                                       const StreamConfig& stream) {
+Result<AnalyzedQuery> AnalyzeQuery(const FrameQLQuery& query,
+                                   const StreamConfig& stream) {
   AnalyzedQuery out;
   out.raw = query;
   out.table = query.table;
@@ -277,15 +239,6 @@ Result<AnalyzedQuery> AnalyzeQueryImpl(const FrameQLQuery& query,
   }
   out.kind = QueryKind::kExhaustive;
   out.sel_class = class_id;
-  return out;
-}
-
-}  // namespace
-
-Result<AnalyzedQuery> AnalyzeQuery(const FrameQLQuery& query,
-                                   const StreamConfig& stream) {
-  BLAZEIT_ASSIGN_OR_RETURN(AnalyzedQuery out, AnalyzeQueryImpl(query, stream));
-  out.sketch = ComputeSketchSupport(out);
   return out;
 }
 

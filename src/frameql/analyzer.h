@@ -32,30 +32,8 @@ struct ClassCountRequirement {
   int min_count = 1;
 };
 
-/// Which of a query's conjuncts the store's per-segment zone-map sketches
-/// (storage/segment_sketch.h) can refute. Filled by the analyzer from the
-/// query alone — never from store state — so plan descriptions stay
-/// identical whether or not an index exists; the executors then consult
-/// the index only for the annotated conjuncts.
-struct SketchSupport {
-  /// HAVING SUM(class=c) >= n conjuncts (scrubbing / exhaustive).
-  bool class_counts = false;
-  /// WHERE class = c per-detection presence (exhaustive / count-distinct).
-  bool class_presence = false;
-  /// Spatial ROI over detection centers.
-  bool roi = false;
-  /// area(mask) lower bound.
-  bool min_area = false;
-  /// Predicate-free "any detection" full scans.
-  bool any_detection = false;
-
-  bool any() const {
-    return class_counts || class_presence || roi || min_area || any_detection;
-  }
-};
-
 /// Semantic summary of a FrameQL query against a specific stream: what the
-/// optimizer consumes. Spatial predicates are folded into an ROI,
+/// executors consume. Spatial predicates are folded into an ROI,
 /// timestamp predicates into a time range, pixel-valued thresholds are
 /// normalized using the stream's nominal resolution.
 struct AnalyzedQuery {
@@ -100,16 +78,9 @@ struct AnalyzedQuery {
   double fnr = 0.0;
   double fpr = 0.0;
 
-  /// Sketch-answerable conjuncts of this query (see SketchSupport).
-  SketchSupport sketch;
-
   /// The parsed query this analysis came from.
   FrameQLQuery raw;
 };
-
-/// Derives the sketch-answerable conjuncts of a classified query; called
-/// by AnalyzeQuery (exposed for tests).
-SketchSupport ComputeSketchSupport(const AnalyzedQuery& query);
 
 /// Classifies and validates a parsed query against a stream's schema.
 Result<AnalyzedQuery> AnalyzeQuery(const FrameQLQuery& query,

@@ -15,7 +15,7 @@ class CostMeter;  // sim/cost_model.h
 namespace obs {
 
 /// One query's lifecycle trace: a tree of scoped spans
-/// (parse -> analyze -> optimize -> train -> sweep -> execute -> ...)
+/// (parse -> analyze -> execute:<query kind> -> train -> sweep -> ...)
 /// recording wall time and, when a span is opened with a CostMeter,
 /// simulated-cost deltas. Each query gets its own QueryTrace, so batch
 /// execution — where different queries run on different pool workers —

@@ -491,9 +491,9 @@ Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
     // expensive specialized-NN ordering.
     out.plan = PlanKind::kScanScrubbing;
     out.plan_description = "load-shed: sketch-only scan, no NN ranking";
-    ScrubOptions scan_options;
-    scan_options.use_store_index = engine_->options().use_store_index;
-    ScrubbingExecutor executor(stream, scan_options);
+    ScrubbingExecutor executor(stream, ScrubOptions{},
+                               /*sweep_cache=*/nullptr, /*trace=*/nullptr,
+                               engine_->options().use_store_index);
     BLAZEIT_ASSIGN_OR_RETURN(
         ScrubResult scan,
         executor.Scan(query.requirements, query.limit, query.gap, window));

@@ -138,7 +138,7 @@ void ExpectTestLabelsReplayDetector(const StreamData& s) {
     SCOPED_TRACE("frame " + std::to_string(t));
     std::vector<Detection> expected;
     for (const Detection& det : s.detector_impl->Detect(day, t)) {
-      if (det.score >= s.score_threshold()) expected.push_back(det);
+      if (det.score >= s.config.detection_threshold) expected.push_back(det);
     }
     const std::vector<Detection>& got = labels.DetectionsAt(t);
     testutil::ExpectSameDetections(got, expected);

@@ -6,9 +6,7 @@
 #include "core/aggregation.h"
 #include "core/baselines.h"
 #include "core/engine.h"
-#include "core/optimizer.h"
 #include "core/scrubbing.h"
-#include "frameql/parser.h"
 #include "testing/test_util.h"
 
 namespace blazeit {
@@ -21,28 +19,6 @@ class IntegrationTest : public testutil::CatalogFixture<IntegrationTest> {
   }
   static DayLengths Lengths() { return testutil::SmallDays(6000, 6000, 15000); }
 };
-
-TEST_F(IntegrationTest, OptimizerPicksSpecializedPlanWithTrainingData) {
-  auto parsed = ParseFrameQL(
-      "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.1");
-  auto q = AnalyzeQuery(parsed.value(), stream_->config).value();
-  PlanChoice plan = ChoosePlan(q, stream_);
-  EXPECT_EQ(plan.kind, PlanKind::kSpecializedAggregation);
-  EXPECT_NE(plan.rationale.find("specialized"), std::string::npos);
-}
-
-TEST_F(IntegrationTest, OptimizerFallsBackWithoutTrainingData) {
-  auto parsed = ParseFrameQL(
-      "SELECT FCOUNT(*) FROM taipei WHERE class = 'bird' ERROR WITHIN 0.1");
-  auto q = AnalyzeQuery(parsed.value(), stream_->config).value();
-  EXPECT_EQ(ChoosePlan(q, stream_).kind, PlanKind::kAqpAggregation);
-
-  auto scrub = ParseFrameQL(
-      "SELECT timestamp FROM taipei GROUP BY timestamp "
-      "HAVING SUM(class='bird') >= 1 LIMIT 5");
-  auto sq = AnalyzeQuery(scrub.value(), stream_->config).value();
-  EXPECT_EQ(ChoosePlan(sq, stream_).kind, PlanKind::kScanScrubbing);
-}
 
 TEST_F(IntegrationTest, CostOrderingNaiveGreaterThanNoScopeGreaterThanBlazeIt) {
   // The headline ordering of Figure 4, end to end on real components.

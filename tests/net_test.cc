@@ -4,19 +4,15 @@
 // concurrent scrapes), exercised through a raw loopback socket client so
 // the full accept -> parse -> dispatch -> serialize path runs.
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/http.h"
 #include "net/http_server.h"
+#include "testing/raw_http.h"
 #include "util/string_util.h"
 
 namespace blazeit {
@@ -115,40 +111,8 @@ TEST(HttpEscapeTest, EscapersCoverControlAndMarkupCharacters) {
 // ---------------------------------------------------------------------------
 // Server, through a raw loopback client
 
-// Sends `request` bytes to 127.0.0.1:`port` and returns everything the
-// server wrote before closing.
-std::string RawRequest(int port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
-}
-
-std::string StatusLine(const std::string& wire) {
-  return wire.substr(0, wire.find("\r\n"));
-}
+using testutil::RawRequest;
+using testutil::StatusLine;
 
 class HttpServerTest : public ::testing::Test {
  protected:

@@ -15,7 +15,9 @@ sides and alternates which side goes first. The summary gives each side's
 median, quartiles and IQR per metric, the per-pair wins for --metric, and
 whether the paper-cost metrics (simulated seconds, detector calls, NN
 frames, store size) agree in the zero-length runs and in every pair, see
-paper_cost_check. Metric directions come from BENCHMARK.json.
+paper_cost_check, and how many pairs ran query counts on opposite sides
+of a power of two, see straddled_power. Metric directions come from
+BENCHMARK.json.
 """
 
 import argparse
@@ -137,6 +139,34 @@ def paper_cost_check(pairs):
     return equal, exact, mismatches
 
 
+def doubling_capacity(n):
+    """Capacity of a vector grown by one push_back at a time to n
+    elements, doubling from 1 (libstdc++'s growth)."""
+    return 1 << (n - 1).bit_length() if n > 0 else 0
+
+
+def straddled_power(a, b):
+    """The largest power of two p with min(a, b) <= p < max(a, b), or None.
+
+    perfbench's driver keeps a record per attempted query in one doubling
+    vector, so two runs' record capacities differ exactly when their
+    counts lie on opposite sides of such a p. A pair like that can move
+    peak_rss_mb by the vector's size with no change in the library."""
+    lo, hi = sorted((a, b))
+    if lo < 1 or doubling_capacity(lo) == doubling_capacity(hi):
+        return None
+    return doubling_capacity(hi) // 2
+
+
+def record_straddles(pairs):
+    """(pairs whose sides' `attempted` counts straddle a power of two,
+    the sorted distinct powers)."""
+    powers = [straddled_power(p["base"]["attempted"], p["head"]["attempted"])
+              for p in pairs]
+    powers = [q for q in powers if q is not None]
+    return len(powers), sorted(set(powers))
+
+
 def parse_run(stdout):
     """The result of one perfbench/run.py invocation: its JSON result line
     plus the pass count from its '# passes=' comment."""
@@ -223,6 +253,12 @@ def print_summary(workload, pairs, better, metric, zero):
               equal, len(pairs), SIM_COST, exact, unequal_passes))
     for i, name, b, h in bad:
         print("    pair %d %s: base %r head %r" % (i, name, b, h))
+    straddling, powers = record_straddles(pairs)
+    print("  pairs whose sides' record counts straddle a power of two: "
+          "%d/%d%s" % (straddling, len(pairs),
+                       " (at %s; their peak_rss_mb moves with the driver's "
+                       "record vector, not the library)" %
+                       ", ".join(str(q) for q in powers) if powers else ""))
     runs = [p[s] for p in pairs for s in SIDES] + [zero[s] for s in SIDES]
     print("  failed queries: %d; runs with an output check failing: %d" % (
         sum(r["failed"] for r in runs), sum(not r["correct"] for r in runs)))

@@ -1,6 +1,7 @@
 """Tests of tools/perf_ab.py's summary math: quartiles, per-pair wins by
-metric direction, the IQR rule, the paper-cost equality check, and the
-parsing of one benchmark run.
+metric direction, the IQR rule, the paper-cost equality check, the
+record-count straddle of a power of two, and the parsing of one
+benchmark run.
 
 Run: python3 -m unittest discover -s tools/tests
 """
@@ -118,6 +119,34 @@ class PaperCostTest(unittest.TestCase):
         equal, exact, bad = perf_ab.paper_cost_check(pairs)
         self.assertEqual((equal, exact), (0, 1))
         self.assertEqual(bad, [(0, "detector_calls_per_query", 7.0, 7.04)])
+
+
+class RecordStraddleTest(unittest.TestCase):
+    def test_doubling_capacity(self):
+        self.assertEqual([perf_ab.doubling_capacity(n)
+                          for n in (0, 1, 2, 3, 4, 5, 262144, 262145)],
+                         [0, 1, 2, 4, 4, 8, 262144, 524288])
+
+    def test_straddled_power(self):
+        # 2^18 = 262,144 records fill the vector exactly; one more doubles it.
+        self.assertEqual(perf_ab.straddled_power(262144, 262145), 262144)
+        self.assertEqual(perf_ab.straddled_power(600000, 500000), 524288)
+        # Same capacity on both sides, whatever the gap.
+        self.assertIsNone(perf_ab.straddled_power(262145, 524288))
+        self.assertIsNone(perf_ab.straddled_power(400000, 400000))
+        # Several doublings apart: the largest power crossed.
+        self.assertEqual(perf_ab.straddled_power(100, 1000), 512)
+        self.assertIsNone(perf_ab.straddled_power(0, 5))
+
+    def test_record_straddles(self):
+        def run(attempted):
+            return {"attempted": attempted, "metrics": {}}
+        pairs = [pair(run(390000), run(400000)),
+                 pair(run(520000), run(530000)),
+                 pair(run(530000), run(510000)),
+                 pair(run(200000), run(300000))]
+        self.assertEqual(perf_ab.record_straddles(pairs), (3, [262144, 524288]))
+        self.assertEqual(perf_ab.record_straddles(pairs[:1]), (0, []))
 
 
 class ParseRunTest(unittest.TestCase):
